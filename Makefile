@@ -80,10 +80,12 @@ status-smoke:
 
 # the CI campaign-smoke job, locally: an uninterrupted 3-batch
 # campaign vs. one "killed" after batch 1 (--max-batches 1, jobs=2)
-# and resumed from its checkpoint for the remaining 2 (jobs=4). The
-# fingerprint JSONL must be byte-identical and the ledgers canonically
-# identical, or checkpoint/resume broke the determinism contract.
-# Exit 4 (a novel fingerprint) fails the target, same as fuzz-smoke.
+# and resumed from its checkpoint for the remaining 2 (jobs=4). Before
+# the resume, half a commit record is appended to the checkpoint, as a
+# kill mid-append leaves it: resume must drop it. The fingerprint JSONL
+# must be byte-identical and the ledgers canonically identical, or
+# checkpoint/resume broke the determinism contract. Exit 4 (a novel
+# fingerprint) fails the target, same as fuzz-smoke.
 campaign-smoke:
 	rm -rf campaign-smoke && mkdir -p campaign-smoke
 	$(PYTHON) -m repro campaign --seed 11 --batch 16 --jobs 2 \
@@ -96,6 +98,8 @@ campaign-smoke:
 		--checkpoint campaign-smoke/resumed.ckpt.json \
 		--fingerprints campaign-smoke/resumed.fp.jsonl \
 		--ledger campaign-smoke/resumed.ledger.jsonl
+	$(PYTHON) -c 'import sys; p = sys.argv[1]; r = open(p, "rb").readlines()[-1]; open(p, "ab").write(r[: len(r) // 2])' \
+		campaign-smoke/resumed.ckpt.json
 	$(PYTHON) -m repro campaign --seed 11 --batch 16 --jobs 4 \
 		--max-batches 3 --quiet \
 		--checkpoint campaign-smoke/resumed.ckpt.json \

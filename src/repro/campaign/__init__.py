@@ -6,10 +6,10 @@ status``); this package ships the half that feeds it perpetually. A
 :mod:`repro.fuzz.scheduler` through the sharded
 :mod:`repro.crosstest.executor` on an asyncio loop, deduplicates
 fingerprints online against the committed baseline as each batch
-lands, appends one ledger record per batch, and checkpoints the full
-campaign state to JSON so a killed campaign resumes *exactly* where it
-stopped — SIGINT/SIGTERM drain the in-flight batch, commit it, write
-the checkpoint, and exit cleanly.
+lands, appends one ledger record per batch, and journals each batch's
+campaign-state changes to an append-only checkpoint so a killed
+campaign resumes *exactly* where it stopped — SIGINT/SIGTERM drain the
+in-flight batch, commit it, write the checkpoint, and exit cleanly.
 
 The determinism contract is the hard part and the whole point: a
 campaign killed mid-run and resumed from its checkpoint emits
@@ -25,6 +25,7 @@ from repro.campaign.checkpoint import (
     CHECKPOINT_SCHEMA_VERSION,
     Checkpoint,
     CheckpointError,
+    CheckpointJournal,
     load_checkpoint,
     save_checkpoint,
 )
@@ -40,6 +41,7 @@ __all__ = [
     "CampaignSummary",
     "Checkpoint",
     "CheckpointError",
+    "CheckpointJournal",
     "fingerprint_lines",
     "load_checkpoint",
     "save_checkpoint",

@@ -5,15 +5,17 @@ process. Each iteration runs one scheduler round
 (:func:`repro.fuzz.scheduler.run_round`) on the default executor — the
 round itself is synchronous, CPU-bound work fanned across the worker
 pool — then *commits* it: one ``campaign`` ledger record, one
-fingerprint-JSONL line per key first seen this batch, and an atomic
-checkpoint carrying the new byte offsets (see
-:mod:`repro.campaign.checkpoint` for why offsets make resume
-crash-safe).
+fingerprint-JSONL line per key first seen this batch, and one
+checkpoint-journal record carrying the batch's state delta and the new
+byte offsets (see :mod:`repro.campaign.checkpoint` for why offsets make
+resume crash-safe).
 
 SIGINT/SIGTERM set a stop event rather than killing anything: the
 in-flight batch drains, commits, checkpoints, and the service returns
 normally — so an operator's Ctrl-C and systemd's TERM both leave a
-checkpoint the next invocation resumes from. A *hard* kill (SIGKILL,
+checkpoint the next invocation resumes from. The handlers are in place
+before a fresh campaign writes its checkpoint header, so a signal sent
+as soon as the checkpoint exists drains too. A *hard* kill (SIGKILL,
 OOM) is also survivable, just via the truncate-on-resume path instead.
 
 The worker pool (:class:`~repro.crosstest.executor.WorkerPoolHandle`)
@@ -36,7 +38,7 @@ from typing import Callable
 from repro.campaign.checkpoint import (
     Checkpoint,
     CheckpointError,
-    load_checkpoint,
+    CheckpointJournal,
     save_checkpoint,
 )
 from repro.crosstest.executor import (
@@ -156,6 +158,7 @@ class CampaignService:
         self.clock = clock or time.time
         self.state: CampaignState | None = None
         self.resumed = False
+        self._journal: CheckpointJournal | None = None
         self._novel_seen = False
         self._ledger_bytes = 0
         self._fingerprints_bytes = 0
@@ -188,7 +191,9 @@ class CampaignService:
     def _prepare(self) -> None:
         """Load or initialise state and align the output files."""
         if os.path.exists(self.checkpoint_path):
-            checkpoint = load_checkpoint(self.checkpoint_path)
+            journal, checkpoint = CheckpointJournal.open(
+                self.checkpoint_path
+            )
             expected = self.config.signature()
             found = checkpoint.state.get("config")
             if found != expected:
@@ -198,11 +203,17 @@ class CampaignService:
                     f"{expected!r}); pick a fresh --checkpoint path or "
                     "match the original seed/batch/plan settings"
                 )
-            self.state = CampaignState.from_json(
-                checkpoint.state,
-                jobs=self.config.jobs,
-                pool=self.config.pool,
-            )
+            try:
+                self.state = CampaignState.from_json(
+                    checkpoint.state,
+                    jobs=self.config.jobs,
+                    pool=self.config.pool,
+                )
+            except (KeyError, TypeError, ValueError) as exc:
+                raise CheckpointError(
+                    f"{self.checkpoint_path}: unusable campaign state "
+                    f"({exc!r})"
+                ) from exc
             self._novel_seen = checkpoint.novel_seen
             self._ledger_bytes = checkpoint.ledger_bytes
             self._fingerprints_bytes = checkpoint.fingerprints_bytes
@@ -215,6 +226,9 @@ class CampaignService:
                 self._align_file(
                     self.ledger_path, self._ledger_bytes, "ledger"
                 )
+            # drop a torn record: the batch it began re-runs
+            self._align_file(self.checkpoint_path, journal.size, "checkpoint")
+            self._journal = journal
             self.resumed = True
         else:
             self.state = CampaignState.fresh(self.config)
@@ -229,6 +243,15 @@ class CampaignService:
                 if self.ledger_path is not None
                 and os.path.exists(self.ledger_path)
                 else 0
+            )
+            # the header records both start offsets before batch 0 can
+            # append, so a kill before its commit truncates back to them
+            self._journal = CheckpointJournal.create(
+                self.checkpoint_path,
+                self.config.signature(),
+                ledger_bytes=self._ledger_bytes,
+                fingerprints_bytes=self._fingerprints_bytes,
+                env=self._env(),
             )
 
     # -- commit ------------------------------------------------------------
@@ -269,11 +292,18 @@ class CampaignService:
         )
         return campaign_record(run, results, clock=self.clock, env=env)
 
+    def _env(self) -> dict:
+        return {
+            "ts": float(self.clock()),
+            "jobs": resolve_jobs(self.config.jobs),
+            "pool": self.config.pool,
+        }
+
     def _commit(self, outcome: RoundOutcome) -> None:
         """Make one batch durable: ledger, fingerprints, checkpoint —
         in that order, so the checkpoint's offsets always describe
         fully-written prefixes (see the checkpoint module docstring)."""
-        assert self.state is not None
+        assert self.state is not None and self._journal is not None
         if outcome.novel_keys:
             self._novel_seen = True
         if self.ledger_path is not None:
@@ -283,18 +313,15 @@ class CampaignService:
             self.fingerprints_path, fingerprint_lines(self.state, outcome)
         )
         save_checkpoint(
-            self.checkpoint_path,
+            self._journal,
             Checkpoint(
-                state=self.state.to_json(),
+                state=self.state.delta_json(outcome),
                 ledger_bytes=self._ledger_bytes,
                 fingerprints_bytes=self._fingerprints_bytes,
                 novel_seen=self._novel_seen,
-                env={
-                    "ts": float(self.clock()),
-                    "jobs": resolve_jobs(self.config.jobs),
-                    "pool": self.config.pool,
-                },
+                env=self._env(),
             ),
+            self.state.to_json,
         )
 
     # -- the loop ----------------------------------------------------------
@@ -315,23 +342,24 @@ class CampaignService:
 
     async def run(self) -> CampaignSummary:
         """Run until a bound or a signal stops the campaign."""
-        self._prepare()
-        state = self.state
-        assert state is not None
         loop = asyncio.get_running_loop()
         installed = self._install_signal_handlers(loop)
-        started_batches = state.round_index
-        deadline = (
-            time.monotonic() + self.duration
-            if self.duration is not None
-            else None
-        )
-        pool_handle = (
-            WorkerPoolHandle(self.config.jobs, self.config.pool)
-            if resolve_jobs(self.config.jobs) > 1
-            else None
-        )
+        pool_handle = None
         try:
+            self._prepare()
+            state = self.state
+            assert state is not None
+            started_batches = state.round_index
+            deadline = (
+                time.monotonic() + self.duration
+                if self.duration is not None
+                else None
+            )
+            pool_handle = (
+                WorkerPoolHandle(self.config.jobs, self.config.pool)
+                if resolve_jobs(self.config.jobs) > 1
+                else None
+            )
             while not self._stop.is_set():
                 if (
                     self.max_batches is not None

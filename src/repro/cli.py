@@ -287,9 +287,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--checkpoint",
         default="campaign-checkpoint.json",
         metavar="PATH",
-        help="checkpoint file: written atomically after every batch, "
-        "resumed from when it already exists "
-        "(default: campaign-checkpoint.json)",
+        help="checkpoint journal: one fsynced record appended per "
+        "batch, compacted atomically when it doubles; resumed from when "
+        "it already exists (default: campaign-checkpoint.json)",
     )
     campaign.add_argument(
         "--ledger",

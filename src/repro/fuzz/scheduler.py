@@ -20,9 +20,13 @@ call that advances it. The state round-trips through JSON
 provenance, not by value*: a promoted seed or a finding's witness is
 stored as its ``(round, slot, input_id)`` coordinates and regenerated
 through the same BLAKE2b-seeded generator calls that built it the
-first time, so a checkpoint stays a few KB of pure JSON no matter what
-Python values (decimals, timestamps, nested rows) the inputs carry —
-and a restored campaign is *exactly* the campaign that was stopped.
+first time, so a checkpoint is pure JSON no matter what Python values
+(decimals, timestamps, nested rows) the inputs carry — and a restored
+campaign is *exactly* the campaign that was stopped. The snapshot
+still grows with every coverage feature and finding (megabytes after a
+few dozen batches), so :meth:`CampaignState.delta_json` gives one
+round's changes alone, which :mod:`repro.campaign.checkpoint` journals
+per batch instead of the whole snapshot.
 :mod:`repro.campaign` builds the always-on service on top of this;
 :func:`run_fuzz` is the bounded one-shot loop the ``repro fuzz`` CLI
 has always exposed.
@@ -30,6 +34,7 @@ has always exposed.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 from repro.crosstest.classify import found_discrepancies
@@ -329,6 +334,8 @@ class RoundOutcome:
     rediscovered: tuple[int, ...] = ()
     #: campaign-wide coverage feature count after this round
     coverage_features: int = 0
+    #: coverage features first seen this round, sorted
+    new_features: tuple[str, ...] = ()
 
 
 @dataclass
@@ -398,17 +405,50 @@ class CampaignState:
             "coverage": sorted(self.coverage.seen),
             "promoted": [list(entry) for entry in self.promoted],
             "findings": [
-                {
-                    "key": key,
-                    "fingerprint": self.findings[key].fingerprint.to_json(),
-                    "novel": self.findings[key].novel,
-                    "failures": self.findings[key].failure_count,
-                    "round": self.findings[key].round_index,
-                    "witness": list(self.witness_provenance[key]),
-                }
-                for key in sorted(self.findings)
+                self._finding_json(key) for key in sorted(self.findings)
             ],
             "rediscovered": sorted(self.rediscovered),
+        }
+
+    def delta_json(self, outcome: RoundOutcome) -> dict:
+        """What the round behind ``outcome`` changed, in
+        :meth:`to_json`'s shape; call it right after that round.
+
+        The counters are cumulative; ``coverage``, ``promoted``,
+        ``findings`` and ``rediscovered`` hold only what the round
+        added, and ``failures`` the current count of every finding the
+        round witnessed again. Folding each round's delta, in order,
+        onto a fresh campaign's snapshot gives :meth:`to_json` — in time
+        proportional to the round, not to the campaign.
+        """
+        new_keys = set(outcome.new_keys)
+        first_promoted = len(self.promoted) - outcome.promoted
+        return {
+            "candidates": self.candidates,
+            "round_index": self.round_index,
+            "trials_run": self.trials_run,
+            "coverage": list(outcome.new_features),
+            "promoted": [
+                list(entry) for entry in self.promoted[first_promoted:]
+            ],
+            "findings": [self._finding_json(key) for key in outcome.new_keys],
+            "failures": {
+                key: self.findings[key].failure_count
+                for key in outcome.witnessed
+                if key not in new_keys
+            },
+            "rediscovered": list(outcome.rediscovered),
+        }
+
+    def _finding_json(self, key: str) -> dict:
+        finding = self.findings[key]
+        return {
+            "key": key,
+            "fingerprint": finding.fingerprint.to_json(),
+            "novel": finding.novel,
+            "failures": finding.failure_count,
+            "round": finding.round_index,
+            "witness": list(self.witness_provenance[key]),
         }
 
     @classmethod
@@ -490,16 +530,18 @@ class CampaignState:
         self, round_index: int, slot: int, input_id: int
     ) -> TestInput:
         """Regenerate one batch input from its coordinates, against the
-        pool exactly as it stood when that round's batch was built."""
-        prefix = self.seed_pool[: self.corpus_len] + [
-            candidate
-            for candidate, (entry_round, _, _) in zip(
-                self.seed_pool[self.corpus_len :], self.promoted
-            )
-            if entry_round < round_index
-        ]
+        pool exactly as it stood when that round's batch was built: the
+        corpus plus every entry promoted in an earlier round — a prefix
+        of the pool, since entries are promoted in round order."""
+        earlier = bisect_left(
+            self.promoted, round_index, key=lambda entry: entry[0]
+        )
         return _build_candidate(
-            self.config, round_index, slot, input_id, prefix
+            self.config,
+            round_index,
+            slot,
+            input_id,
+            self.seed_pool[: self.corpus_len + earlier],
         )
 
     def result(
@@ -583,13 +625,16 @@ def run_round(
 
     # coverage promotion, in (byte-identical) trial order
     promoted: set[int] = set()
+    new_features: set[str] = set()
     for index, trial in enumerate(trials):
         spans = trace_sink.get(index, ())
         input_id = trial.test_input.input_id
         if spans_by_input is not None:
             spans_by_input.setdefault(input_id, []).extend(spans)
-        if state.coverage.observe(trial_features(trial, spans)):
+        novel = state.coverage.observe(trial_features(trial, spans))
+        if novel:
             promoted.add(input_id)
+            new_features.update(novel)
     promoted_count = 0
     for test_input in batch:
         if test_input.input_id in promoted and (
@@ -650,6 +695,7 @@ def run_round(
         promoted=promoted_count,
         rediscovered=tuple(fresh_numbers),
         coverage_features=len(state.coverage),
+        new_features=tuple(sorted(new_features)),
     )
 
 

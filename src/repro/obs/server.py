@@ -52,44 +52,46 @@ def campaign_snapshot(checkpoint_path: str | None) -> dict:
     ``active`` is simply "a readable checkpoint exists" — there is no
     liveness channel to the campaign process, so the panel reports the
     last committed batch cursor plus the checkpoint's mtime and lets
-    the reader judge staleness. Shared by :class:`ObsServer` and the
-    ``repro status`` campaign panel.
+    the reader judge staleness. A batch still being appended is not
+    committed yet and does not show. Shared by :class:`ObsServer` and
+    the ``repro status`` campaign panel.
     """
+    # imported lazily: obs must not hard-depend on the campaign service
+    from repro.campaign.checkpoint import (
+        CHECKPOINT_SCHEMA_VERSION,
+        CheckpointError,
+        load_checkpoint,
+    )
+
     payload: dict[str, object] = {
         "checkpoint": checkpoint_path,
         "active": False,
     }
-    if checkpoint_path is None:
+    if checkpoint_path is None or not os.path.exists(checkpoint_path):
         return payload
     try:
-        with open(checkpoint_path, encoding="utf-8") as handle:
-            snapshot = json.load(handle)
+        checkpoint = load_checkpoint(checkpoint_path)
         mtime = os.path.getmtime(checkpoint_path)
-    except FileNotFoundError:
-        return payload
-    except ValueError as exc:
+    except (CheckpointError, OSError) as exc:
         payload["error"] = f"unreadable checkpoint ({exc})"
         return payload
-    state = snapshot.get("state", {})
-    findings = state.get("findings", ())
+    state = checkpoint.state
     payload.update(
         {
             "active": True,
             "mtime": mtime,
-            "schema_version": snapshot.get("schema_version"),
-            "config": state.get("config", {}),
-            "batches": state.get("round_index", 0),
-            "candidates": state.get("candidates", 0),
-            "trials": state.get("trials_run", 0),
-            "coverage_features": len(state.get("coverage", [])),
-            "fingerprints": len(findings),
+            "schema_version": CHECKPOINT_SCHEMA_VERSION,
+            "config": state["config"],
+            "batches": state["round_index"],
+            "candidates": state["candidates"],
+            "trials": state["trials_run"],
+            "coverage_features": len(state["coverage"]),
+            "fingerprints": len(state["findings"]),
             "novel": sum(
-                1
-                for finding in findings
-                if isinstance(finding, dict) and finding.get("novel")
+                1 for finding in state["findings"] if finding.get("novel")
             ),
-            "rediscovered": len(state.get("rediscovered", [])),
-            "novel_seen": bool(snapshot.get("novel_seen", False)),
+            "rediscovered": len(state["rediscovered"]),
+            "novel_seen": checkpoint.novel_seen,
         }
     )
     return payload

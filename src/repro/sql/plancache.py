@@ -85,14 +85,16 @@ class PreparedFailure:
     text, the configuration and the dependency fingerprint — exactly the
     cache key — so the failure itself is cacheable. ``execute`` re-raises
     the original exception object: type and message, which is all the
-    harness observes, replay identically.
+    harness observes, replay identically. Each replay starts from a
+    cleared traceback; otherwise every replay would extend the cached
+    object's traceback and keep all earlier replays' frames alive.
     """
 
     error: Exception
 
     def execute(self, engine: object) -> object:
         del engine
-        raise self.error
+        raise self.error.with_traceback(None)
 
 
 @dataclass

@@ -11,7 +11,11 @@ import json
 
 import pytest
 
-from repro.campaign.checkpoint import Checkpoint, save_checkpoint
+from repro.campaign.checkpoint import (
+    Checkpoint,
+    CheckpointJournal,
+    save_checkpoint,
+)
 from repro.fuzz.dedup import Baseline
 from repro.fuzz.scheduler import CampaignState, FuzzConfig, run_round
 
@@ -51,10 +55,14 @@ def seeded_campaign(tmp_path_factory):
     outcome = run_round(state, pruned)
     assert outcome.novel_keys == (held_out,)
 
+    # written the way the campaign service commits a batch: a header,
+    # then the batch's delta record
     checkpoint_path = str(workdir / "campaign.ckpt.json")
+    journal = CheckpointJournal.create(checkpoint_path, config.signature())
     save_checkpoint(
-        checkpoint_path,
-        Checkpoint(state=state.to_json(), novel_seen=True),
+        journal,
+        Checkpoint(state=state.delta_json(outcome), novel_seen=True),
+        state.to_json,
     )
 
     fingerprints_path = str(workdir / "campaign.fp.jsonl")

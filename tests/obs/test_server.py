@@ -130,34 +130,45 @@ class TestObsServer:
     def test_campaign_endpoint_reflects_checkpoint(self, tmp_path):
         checkpoint = tmp_path / "campaign-checkpoint.json"
         server = ObsServer(checkpoint_path=str(checkpoint)).start()
+
+        def record(round_index, coverage, findings, rediscovered, novel):
+            return {
+                "kind": "commit",
+                "state": {
+                    "round_index": round_index,
+                    "candidates": 16 * round_index,
+                    "trials_run": 384 * round_index,
+                    "coverage": coverage,
+                    "promoted": [],
+                    "findings": findings,
+                    "failures": {},
+                    "rediscovered": rediscovered,
+                },
+                "offsets": {"ledger_bytes": 0, "fingerprints_bytes": 0},
+                "novel_seen": novel,
+                "env": {},
+            }
+
         try:
             _, before = _get(server, "/campaign")
             assert before["active"] is False
+            # a v2 journal: header, then one commit record per batch
+            lines = [
+                {
+                    "schema_version": 2,
+                    "kind": "campaign-checkpoint",
+                    "config": {"seed": 7},
+                    "offsets": {"ledger_bytes": 0, "fingerprints_bytes": 0},
+                    "env": {},
+                },
+                record(1, ["a"], [{"key": "y", "novel": False}], [], False),
+                record(2, ["b"], [{"key": "x", "novel": True}], [2], True),
+                record(3, [], [], [], True),
+            ]
+            # ...and a torn fourth batch, which is not committed yet
             checkpoint.write_text(
-                json.dumps(
-                    {
-                        "schema_version": 1,
-                        "kind": "campaign-checkpoint",
-                        "state": {
-                            "config": {"seed": 7},
-                            "round_index": 3,
-                            "candidates": 48,
-                            "trials_run": 1152,
-                            "coverage": ["a", "b"],
-                            "findings": [
-                                {"key": "x", "novel": True},
-                                {"key": "y", "novel": False},
-                            ],
-                            "rediscovered": [2],
-                        },
-                        "offsets": {
-                            "ledger_bytes": 0,
-                            "fingerprints_bytes": 0,
-                        },
-                        "novel_seen": True,
-                        "env": {},
-                    }
-                )
+                "".join(json.dumps(line) + "\n" for line in lines)
+                + '{"kind": "commit", "state": {"round_'
             )
             _, after = _get(server, "/campaign")
             assert after["active"] is True
@@ -169,6 +180,15 @@ class TestObsServer:
             assert after["novel"] == 1
             assert after["novel_seen"] is True
             assert after["config"] == {"seed": 7}
+            assert after["schema_version"] == 2
+            # a corrupt earlier record is reported, not served as state
+            checkpoint.write_text(
+                json.dumps(lines[0]) + "\n{broken\n" + json.dumps(lines[1])
+                + "\n"
+            )
+            _, broken = _get(server, "/campaign")
+            assert broken["active"] is False
+            assert "unreadable checkpoint" in broken["error"]
         finally:
             server.stop()
 

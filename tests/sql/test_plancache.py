@@ -143,3 +143,22 @@ class TestPreparedFailure:
         with pytest.raises(ValueError) as excinfo:
             plan.execute(object())
         assert excinfo.value is error
+
+    def test_replays_do_not_grow_the_traceback(self):
+        # each replay must start from a cleared traceback: a growing
+        # chain keeps every earlier replay's frames (and their locals)
+        # alive for as long as the cache entry lives
+        def chain_length(error):
+            length, tb = 0, error.__traceback__
+            while tb is not None:
+                length, tb = length + 1, tb.tb_next
+            return length
+
+        plan = PreparedFailure(ValueError("arity mismatch"))
+        with pytest.raises(ValueError):
+            plan.execute(object())
+        once = chain_length(plan.error)
+        for _ in range(100):
+            with pytest.raises(ValueError):
+                plan.execute(object())
+        assert 0 < chain_length(plan.error) <= once
