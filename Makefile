@@ -2,8 +2,8 @@ PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 .PHONY: tier1 smoke-crosstest smoke-tests test bench bench-json \
-	bench-gate chaos fuzz-smoke fuzz-baseline lint crosstest \
-	status-smoke campaign-smoke analytics-smoke
+	bench-gate perfbench-tests chaos fuzz-smoke fuzz-baseline lint \
+	crosstest status-smoke campaign-smoke analytics-smoke
 
 # sub-second sanity tier: the distilled 14-input corpus must still
 # reproduce all 15 discrepancy mechanisms (run this before anything
@@ -41,6 +41,13 @@ bench-gate:
 	$(PYTHON) -m repro.crosstest.bench bench-fresh.json
 	$(PYTHON) -m repro.crosstest.benchgate bench-fresh.json \
 		--min-batch-speedup 1.3
+
+# the benchmark's own tests (perfbench/, outside tier-1's testpaths):
+# result schema, a split that adds up, and the default path (lanes,
+# process pool, plan cache) rendering byte-identical to the plain path
+# on the full 10,128-trial matrix
+perfbench-tests:
+	PYTHONPATH=src:. $(PYTHON) -m pytest -q perfbench/tests
 
 # the CI chaos job, locally: seeded fault matrix over the distilled
 # corpus, gated on mis-handled trials, run twice — the fault report

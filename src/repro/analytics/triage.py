@@ -251,7 +251,6 @@ def triage_checkpoint(
             config.formats,
             finding.conf_overrides,
             label,
-            batch=config.lanes,
         )
         shrunk = None
         if fired and shrink:
@@ -262,7 +261,6 @@ def triage_checkpoint(
                 config.formats,
                 finding.conf_overrides,
                 label,
-                batch=config.lanes,
             )
         findings.append(
             TriagedFinding(

@@ -81,9 +81,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--batch",
         action=argparse.BooleanOptionalAction,
         default=True,
-        help="share deployment lanes between same-type trials "
-        "(default: on; traced or fault-injected trials always run "
-        "isolated; the report is byte-identical either way)",
+        help="let same-type trials share a deployment lane "
+        "(default: on; --no-batch runs every trial as a lane of one, "
+        "as traced or fault-injected trials always do; the report is "
+        "byte-identical either way)",
     )
     crosstest.add_argument(
         "--quiet",
@@ -224,14 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="skip shrinking novel findings to minimal reproducers",
     )
     fuzz.add_argument(
-        "--no-lanes",
-        action="store_true",
-        help="disable batched deployment lanes in the executor "
-        "(campaign rounds are traced for coverage and therefore run "
-        "isolated regardless; lanes only speed up the untraced "
-        "shrinking phase)",
-    )
-    fuzz.add_argument(
         "--json", action="store_true", help="emit the result as JSON"
     )
     fuzz.add_argument(
@@ -338,11 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["full", "smoke"],
         help="seed the mutation pool with the curated §8 corpus "
         "(parents only; corpus inputs are never executed)",
-    )
-    campaign.add_argument(
-        "--no-lanes",
-        action="store_true",
-        help="disable batched deployment lanes in the executor",
     )
     campaign.add_argument(
         "--json",
@@ -799,7 +787,6 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
             use_corpus=args.corpus is not None,
             corpus=args.corpus or "full",
             shrink=not args.no_shrink,
-            lanes=not args.no_lanes,
         )
     except ValueError as exc:
         print(f"bad fuzz config: {exc}", file=sys.stderr)
@@ -985,7 +972,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             use_corpus=args.corpus is not None,
             corpus=args.corpus or "full",
             shrink=False,
-            lanes=not args.no_lanes,
         )
     except ValueError as exc:
         print(f"bad campaign config: {exc}", file=sys.stderr)

@@ -6,16 +6,22 @@ for one ``(plan, fmt)`` cell — and executes them either inline
 (``jobs=1``, today's exact sequential semantics) or on a
 ``concurrent.futures`` pool (threads or processes, auto-sized).
 
+Every trial runs through one lane runner (:func:`_run_lane`). A *lane*
+is a set of same-type inputs from one shard that share one deployment
+lease, one ``CREATE TABLE`` and one ``SELECT *``; a *lane of one* is
+the isolated trial, and is what traced and fault-injected runs use, so
+each of their trials keeps its own tracer and fault injector.
+
 Two invariants hold regardless of scheduling:
 
 * **Byte-identical results.** Shards are indexed in the same
   plan → format → input order the sequential loop uses and reassembled
   by index, so the returned ``Trial`` list is identical no matter how
   many workers ran or in which order they finished.
-* **Deployment isolation.** Each trial still observes a pristine
-  deployment. Within a shard, deployments are *pooled*: a leased
-  deployment is reset (trial table dropped, data directory deleted)
-  before reuse, and discarded the moment a reset fails.
+* **Deployment isolation.** Each lane starts on a pristine deployment.
+  Deployments are *pooled*: a leased deployment is reset (trial table
+  dropped, data directory deleted) before reuse, and discarded the
+  moment a reset fails.
 
 Telemetry rides along via :class:`CrossTestMetrics` — per-stage error
 counters plus per-plan and per-format latency histograms — so a
@@ -36,6 +42,7 @@ from concurrent.futures import (
     wait,
 )
 from dataclasses import dataclass, field
+from typing import Callable, TypeVar
 
 from repro.crosstest.harness import (
     TRIAL_TABLE,
@@ -74,6 +81,8 @@ __all__ = [
     "execute",
     "run_trials",
 ]
+
+T = TypeVar("T")
 
 #: Inputs per shard: small enough that 8 plans x 3 formats x 422 inputs
 #: splits into ~96 shards (good load balance up to 16+ workers), large
@@ -156,7 +165,7 @@ class ShardResult:
     def pack(
         cls,
         shard: Shard,
-        trials: list[Trial],
+        outcomes: list[Outcome],
         durations: list[float],
         cache_counts: dict[str, int],
         traces: list[tuple[Span, ...]] | None,
@@ -170,7 +179,7 @@ class ShardResult:
         return cls(
             index=shard.index,
             outcome_columns=tuple(
-                tuple(getattr(trial.outcome, name) for trial in trials)
+                tuple(getattr(outcome, name) for outcome in outcomes)
                 for name in _OUTCOME_FIELDS
             ),
             durations=durations,
@@ -367,17 +376,17 @@ def prewarm_worker(
             except Exception:  # noqa: BLE001 - invalid corpus SQL is fine
                 pass
         pool = worker_pool(conf_overrides)
+        counts = _new_counts()
         lanes: dict[str, list[TestInput]] = {}
         for test_input in warm_inputs:
             lanes.setdefault(test_input.type_text, []).append(test_input)
         for plan in plans:
             for fmt in formats:
                 for lane in lanes.values():
-                    deployment = pool.lease()
-                    try:
-                        run_lane_on(deployment, plan, fmt, tuple(lane))
-                    finally:
-                        pool.release(deployment)
+                    _leased(
+                        pool, counts, None,
+                        run_lane_on, plan, fmt, tuple(lane),
+                    )
     except Exception:  # noqa: BLE001 - never take the worker down
         pass
 
@@ -433,41 +442,43 @@ def _new_counts(injecting: bool = False) -> dict[str, int]:
     return counts
 
 
-def _lease_counted(pool: DeploymentPool, counts: dict[str, int]) -> Deployment:
+def _leased(
+    pool: DeploymentPool,
+    counts: dict[str, int],
+    stage_times: list[tuple[str, float]] | None,
+    run: Callable[..., T],
+    *args: object,
+) -> T:
+    """Return ``run(deployment, *args)`` on a deployment from ``pool``.
+
+    The one place this module leases: it counts the lease as created or
+    reused in ``counts``, folds in the plan-cache counters ``run`` moved
+    (read while the deployment is exclusively leased, so they are
+    race-free even when worker threads share a pool), and releases the
+    deployment, sampling the reset for the stage histograms. Reset is
+    deliberately untraced (it runs outside the tracer and injector
+    contexts so it cannot perturb span trees or fault visit counters) —
+    this wall-clock sample is its only telemetry.
+    """
     deployment = pool.lease()
     if deployment.leases == 1:
         counts["deployments_created"] += 1
     else:
         counts["deployments_reused"] += 1
-    return deployment
-
-
-def _fold_cache_delta(
-    counts: dict[str, int],
-    before: tuple[int, int, int, int],
-    after: tuple[int, int, int, int],
-) -> None:
+    before = _plan_cache_counts(deployment)
+    try:
+        result = run(deployment, *args)
+        after = _plan_cache_counts(deployment)
+    finally:
+        started = time.perf_counter()
+        pool.release(deployment)
+        if stage_times is not None:
+            stage_times.append(("reset", time.perf_counter() - started))
     counts["plan_cache_hits"] += after[0] - before[0]
     counts["plan_cache_misses"] += after[1] - before[1]
     counts["plan_cache_invalidations"] += after[2] - before[2]
     counts["plan_cache_evictions"] += after[3] - before[3]
-
-
-def _timed_release(
-    pool: DeploymentPool,
-    deployment: Deployment,
-    stage_times: list[tuple[str, float]] | None,
-) -> None:
-    """Release a lease, sampling the reset for the stage histograms.
-
-    Reset is deliberately untraced (it runs outside the tracer and
-    injector contexts so it cannot perturb span trees or fault visit
-    counters) — this wall-clock sample is its only telemetry.
-    """
-    started = time.perf_counter()
-    pool.release(deployment)
-    if stage_times is not None:
-        stage_times.append(("reset", time.perf_counter() - started))
+    return result
 
 
 def _lane_groups(inputs: tuple[TestInput, ...]) -> list[list[int]]:
@@ -484,6 +495,46 @@ def _lane_groups(inputs: tuple[TestInput, ...]) -> list[list[int]]:
     return list(groups.values())
 
 
+def _observed_trial(
+    deployment: Deployment,
+    plan: Plan,
+    fmt: str,
+    test_input: TestInput,
+    counts: dict[str, int],
+    stage_times: list[tuple[str, float]] | None,
+    tracer: Tracer | None,
+    injector: FaultInjector | None,
+) -> Trial:
+    """One trial under its own tracer and/or fault injector.
+
+    With an injector, also folds what it fired and the retry-policy
+    counters the trial moved into ``counts`` — read while the
+    deployment is leased, like the plan-cache counters: policy stats
+    live on the connector, one connector per deployment.
+    """
+    retry_before = _retry_counts(deployment)
+    with contextlib.ExitStack() as stack:
+        if tracer is not None:
+            stack.enter_context(tracer)
+        if injector is not None:
+            stack.enter_context(injector)
+        trial = run_trial_on(
+            deployment, plan, fmt, test_input, stage_times=stage_times
+        )
+    if injector is not None:
+        retry_after = _retry_counts(deployment)
+        counts["boundary_attempts"] += retry_after[0] - retry_before[0]
+        counts["boundary_faults"] += retry_after[1] - retry_before[1]
+        counts["boundary_masked_calls"] += retry_after[2] - retry_before[2]
+        counts["boundary_exhausted_calls"] += (
+            retry_after[3] - retry_before[3]
+        )
+        counts["faults_injected"] += len(injector.records)
+        for record in injector.records:
+            counts[f"faults_{record.kind}"] += 1
+    return trial
+
+
 def _run_lane(
     pool: DeploymentPool,
     plan: Plan,
@@ -492,32 +543,45 @@ def _run_lane(
     counts: dict[str, int],
     stage_times: list[tuple[str, float]] | None,
     multirow: bool = True,
+    tracer: Tracer | None = None,
+    injector: FaultInjector | None = None,
 ) -> list[Outcome]:
-    """One lane attempt plus the fallback ladder.
+    """Run one lane on its own lease: how every trial here runs.
 
-    Each attempt runs on a freshly leased deployment (a failed lane may
-    leave the shared table in an unknown state; release resets it).
-    When :func:`run_lane_on` reports ambiguity, its *stage* picks the
-    fallback: a multi-row ``"write"`` failure retries the lane with
-    single-row statements (exact attribution, same shared table); a
-    ``"read"``/``"count"`` ambiguity means the shared scan itself is
-    the problem — no smaller shared table can attribute it, and reads
-    fail deterministically per (plan, fmt, type), so every input goes
-    straight to the isolated per-trial path, whose outcome is
-    authoritative by definition. At most one retry, then isolation:
-    termination is structural, and a fully read-poisoned lane costs one
-    extra (create + write + read) over never having laned at all.
+    A lane of one is the isolated trial: one :func:`run_trial_on`,
+    under that trial's ``tracer`` and ``injector`` when given (only a
+    lane of one takes them). Its outcome is authoritative by
+    definition, so it never needs the fallback ladder.
+
+    A wider lane runs :func:`run_lane_on`. When that reports
+    ambiguity, its *stage* picks the fallback: a multi-row ``"write"``
+    failure retries the lane with single-row statements (exact
+    attribution, same shared table, on a fresh lease — release resets
+    whatever the failed attempt left); a ``"read"``/``"count"``
+    ambiguity means the shared scan itself is the problem — no smaller
+    shared table can attribute it, and reads fail deterministically per
+    (plan, fmt, type), so the lane fans out into lanes of one. At most
+    one retry, then isolation: termination is structural, and a fully
+    read-poisoned lane costs one extra (create + write + read) over
+    never having laned at all.
     """
-    deployment = _lease_counted(pool, counts)
-    before = _plan_cache_counts(deployment)
-    try:
-        outcomes = run_lane_on(
-            deployment, plan, fmt, inputs,
-            multirow=multirow, stage_times=stage_times,
-        )
-        _fold_cache_delta(counts, before, _plan_cache_counts(deployment))
-    finally:
-        _timed_release(pool, deployment, stage_times)
+    if len(inputs) == 1:
+        if tracer is None and injector is None:
+            trial = _leased(
+                pool, counts, stage_times,
+                run_trial_on, plan, fmt, inputs[0], stage_times,
+            )
+        else:
+            trial = _leased(
+                pool, counts, stage_times,
+                _observed_trial, plan, fmt, inputs[0],
+                counts, stage_times, tracer, injector,
+            )
+        return [trial.outcome]
+    outcomes = _leased(
+        pool, counts, stage_times,
+        run_lane_on, plan, fmt, inputs, multirow, stage_times,
+    )
     if not isinstance(outcomes, str):
         return outcomes
     if outcomes == "write":
@@ -525,70 +589,30 @@ def _run_lane(
         return _run_lane(
             pool, plan, fmt, inputs, counts, stage_times, multirow=False
         )
-    resolved: list[Outcome] = []
-    for test_input in inputs:
-        deployment = _lease_counted(pool, counts)
-        before = _plan_cache_counts(deployment)
-        try:
-            trial = run_trial_on(
-                deployment, plan, fmt, test_input, stage_times=stage_times
-            )
-            _fold_cache_delta(counts, before, _plan_cache_counts(deployment))
-        finally:
-            _timed_release(pool, deployment, stage_times)
-        resolved.append(trial.outcome)
-    return resolved
-
-
-def _run_shard_lanes(
-    shard: Shard,
-    pool: DeploymentPool,
-) -> ShardResult:
-    """Execute one shard through batched lanes (tracing/faults off).
-
-    Per-trial durations are each lane's wall-clock split evenly across
-    its trials — the plan/format histograms keep covering every trial,
-    they just report amortized cost, which is the honest number under
-    batching.
-    """
-    counts = _new_counts()
-    stage_times: list[tuple[str, float]] = []
-    outcomes: list[Outcome | None] = [None] * len(shard.inputs)
-    durations: list[float] = [0.0] * len(shard.inputs)
-    for positions in _lane_groups(shard.inputs):
-        lane_inputs = tuple(shard.inputs[p] for p in positions)
-        started = time.perf_counter()
-        lane_outcomes = _run_lane(
-            pool, shard.plan, shard.fmt, lane_inputs, counts, stage_times
-        )
-        share = (time.perf_counter() - started) / len(positions)
-        for offset, position in enumerate(positions):
-            outcomes[position] = lane_outcomes[offset]
-            durations[position] = share
-    trials = [
-        Trial(shard.plan, shard.fmt, test_input, outcomes[position])
-        for position, test_input in enumerate(shard.inputs)
+    return [
+        _run_lane(pool, plan, fmt, (test_input,), counts, stage_times)[0]
+        for test_input in inputs
     ]
-    return ShardResult.pack(
-        shard, trials, durations, counts, None, None, stage_times=stage_times
-    )
 
 
 def run_shard(
     shard: Shard,
     conf_overrides: dict[str, object] | None = None,
-    reuse_deployments: bool = True,
     tracing: bool = False,
     fault_plan: FaultPlan | None = None,
     fault_seed: int = 0,
     batch: bool = False,
 ) -> ShardResult:
-    """Execute one shard sequentially, timing each trial.
+    """Execute one shard as lanes on this worker's deployment pool.
 
-    With ``reuse_deployments`` (the default), deployments come from the
-    worker-global pool for these conf overrides. Cache-counter deltas
-    are read per trial, while the deployment is exclusively leased, so
-    they are race-free even when worker threads share a pool.
+    Deployments come from the worker-global pool for these conf
+    overrides. With ``batch``, same-type inputs share a lane (one
+    create, batched writes, one scan — see :func:`_run_lane`); without
+    it, and always while tracing or injecting faults, every input is a
+    lane of one. Per-trial durations are each lane's wall-clock split
+    evenly across its trials — the plan/format histograms keep
+    covering every trial, they just report amortized cost, which is
+    the honest number under batching.
 
     With ``tracing``, each trial runs under its own
     :class:`~repro.tracing.Tracer` (trace id ``plan/fmt/input_id``) and
@@ -602,91 +626,54 @@ def run_shard(
     ``(plan, seed, trial)`` — independent of worker count, scheduling,
     and everything the worker ran before.
 
-    With ``batch``, same-type trials share deployment lanes (one
-    create, batched writes, one scan — see :func:`_run_shard_lanes`),
-    with any in-lane ambiguity falling back to the isolated path.
-    Lanes engage only when tracing and fault injection are both off:
-    traced runs promise one span tree per trial with per-trial trace
-    ids, and fault schedules key on per-trial boundary visit counts —
-    batching would change both, so those runs keep the (correct,
-    slower) per-trial path and reports stay byte-identical either way.
+    Traced runs promise one span tree per trial, and fault schedules
+    key on per-trial boundary visit counts; a shared lane would change
+    both, so those runs keep lanes of one and reports stay
+    byte-identical with ``batch`` on or off.
     """
-    pool = worker_pool(conf_overrides) if reuse_deployments else None
+    pool = worker_pool(conf_overrides)
     injecting = fault_plan is not None and not fault_plan.empty
-    if batch and pool is not None and not tracing and not injecting:
-        return _run_shard_lanes(shard, pool)
-    trials: list[Trial] = []
-    durations: list[float] = []
-    stage_times: list[tuple[str, float]] = []
-    traces: list[tuple[Span, ...]] | None = [] if tracing else None
-    injections: list[tuple[InjectionRecord, ...]] | None = (
-        [] if injecting else None
-    )
+    total = len(shard.inputs)
     counts = _new_counts(injecting)
-    for test_input in shard.inputs:
-        trial_key = f"{shard.plan.name}/{shard.fmt}/{test_input.input_id}"
-        tracer = Tracer(trace_id=trial_key) if tracing else None
-        injector = (
-            FaultInjector(fault_plan, fault_seed, trial_key)
-            if injecting and fault_plan is not None
-            else None
+    stage_times: list[tuple[str, float]] = []
+    outcomes: list[Outcome | None] = [None] * total
+    durations: list[float] = [0.0] * total
+    traces: list[tuple[Span, ...]] | None = [()] * total if tracing else None
+    injections: list[tuple[InjectionRecord, ...]] | None = (
+        [()] * total if injecting else None
+    )
+    if batch and not tracing and not injecting:
+        groups = _lane_groups(shard.inputs)
+    else:
+        groups = [[position] for position in range(total)]
+    for positions in groups:
+        lane_inputs = tuple(shard.inputs[p] for p in positions)
+        tracer: Tracer | None = None
+        injector: FaultInjector | None = None
+        if tracing or injecting:
+            # every lane is a lane of one here
+            test_input = lane_inputs[0]
+            trial_key = f"{shard.plan.name}/{shard.fmt}/{test_input.input_id}"
+            if tracing:
+                tracer = Tracer(trace_id=trial_key)
+            if injecting and fault_plan is not None:
+                injector = FaultInjector(fault_plan, fault_seed, trial_key)
+        started = time.perf_counter()
+        lane_outcomes = _run_lane(
+            pool, shard.plan, shard.fmt, lane_inputs, counts, stage_times,
+            tracer=tracer, injector=injector,
         )
-
-        def run_one(deployment: Deployment) -> Trial:
-            with contextlib.ExitStack() as stack:
-                if tracer is not None:
-                    stack.enter_context(tracer)
-                if injector is not None:
-                    stack.enter_context(injector)
-                return run_trial_on(
-                    deployment,
-                    shard.plan,
-                    shard.fmt,
-                    test_input,
-                    stage_times=stage_times,
-                )
-
-        start = time.perf_counter()
-        if pool is not None:
-            deployment = _lease_counted(pool, counts)
-            before = _plan_cache_counts(deployment)
-            retry_before = _retry_counts(deployment)
-            try:
-                trial = run_one(deployment)
-                after = _plan_cache_counts(deployment)
-                retry_after = _retry_counts(deployment)
-            finally:
-                _timed_release(pool, deployment, stage_times)
-        else:
-            deployment = Deployment(dict(conf_overrides or {}))
-            counts["deployments_created"] += 1
-            before = (0, 0, 0, 0)
-            retry_before = (0, 0, 0, 0)
-            trial = run_one(deployment)
-            after = _plan_cache_counts(deployment)
-            retry_after = _retry_counts(deployment)
-        _fold_cache_delta(counts, before, after)
-        if injector is not None:
-            counts["boundary_attempts"] += retry_after[0] - retry_before[0]
-            counts["boundary_faults"] += retry_after[1] - retry_before[1]
-            counts["boundary_masked_calls"] += (
-                retry_after[2] - retry_before[2]
-            )
-            counts["boundary_exhausted_calls"] += (
-                retry_after[3] - retry_before[3]
-            )
-            counts["faults_injected"] += len(injector.records)
-            for record in injector.records:
-                counts[f"faults_{record.kind}"] += 1
-        durations.append(time.perf_counter() - start)
-        trials.append(trial)
+        share = (time.perf_counter() - started) / len(positions)
+        for position, outcome in zip(positions, lane_outcomes):
+            outcomes[position] = outcome
+            durations[position] = share
         if traces is not None and tracer is not None:
-            traces.append(tuple(tracer.finished))
+            traces[positions[0]] = tuple(tracer.finished)
         if injections is not None and injector is not None:
-            injections.append(tuple(injector.records))
+            injections[positions[0]] = tuple(injector.records)
     return ShardResult.pack(
         shard,
-        trials,
+        outcomes,  # type: ignore[arg-type]
         durations,
         counts,
         traces,
@@ -988,11 +975,13 @@ def execute(
 ) -> list[Trial]:
     """Run the full matrix and return trials in sequential order.
 
-    ``batch`` (the default) lets same-type trials within a shard share
-    deployment lanes — one create, batched writes, one scan — with
-    bisecting fallback to the isolated path on any in-lane ambiguity.
-    Automatically bypassed for traced or fault-injected runs (see
-    :func:`run_shard`); reports are byte-identical either way.
+    Every shard runs through the one lane runner (see
+    :func:`run_shard`). ``batch`` (the default) lets same-type trials
+    within a shard share a lane — one create, batched writes, one
+    scan. On in-lane ambiguity a lane retries once with single-row
+    writes, then falls back to lanes of one (isolated trials).
+    Traced or fault-injected runs always use lanes of one; reports
+    are byte-identical either way.
 
     ``progress``, if given, is called after every shard completes as
     ``progress(done_shards, total_shards, done_trials, total_trials)``.
@@ -1087,7 +1076,6 @@ def execute(
                     run_shard,
                     shard,
                     conf_overrides,
-                    True,
                     tracing,
                     fault_plan,
                     fault_seed,
@@ -1149,35 +1137,27 @@ def run_trials(
     The pooled path for callers that need a handful of scattered trials
     rather than a full matrix — e.g. the fault-robustness oracle
     re-running only the injected trials to establish fault-free
-    baselines. Deployments are leased from the worker-global pool (warm
-    plan caches, reset on release, never thrown away), and with
-    ``batch`` the triples are grouped into (plan, fmt, type) lanes so a
-    chaos run's baseline pass amortizes the per-trial round trip the
-    same way the main matrix does.
+    baselines, or :meth:`CrossTester.run_trial`. Triples run through
+    the same lane runner as a shard, on deployments leased from the
+    worker-global pool (warm plan caches, reset on release, never
+    thrown away). With ``batch`` the triples are grouped into (plan,
+    fmt, type) lanes so a chaos run's baseline pass amortizes the
+    per-trial round trip the same way the main matrix does; without
+    it, each triple is a lane of one.
     """
     pool = worker_pool(conf_overrides)
     outcomes: list[Outcome | None] = [None] * len(specs)
     counts = _new_counts()
-    if not batch:
-        for position, (plan, fmt, test_input) in enumerate(specs):
-            deployment = _lease_counted(pool, counts)
-            try:
-                outcomes[position] = run_trial_on(
-                    deployment, plan, fmt, test_input
-                ).outcome
-            finally:
-                pool.release(deployment)
-        return outcomes  # type: ignore[return-value]
-    lanes: dict[tuple[Plan, str, str], list[int]] = {}
+    lanes: dict[object, list[int]] = {}
     for position, (plan, fmt, test_input) in enumerate(specs):
-        lanes.setdefault((plan, fmt, test_input.type_text), []).append(
-            position
-        )
-    for (plan, fmt, _), positions in lanes.items():
+        key = (plan, fmt, test_input.type_text) if batch else position
+        lanes.setdefault(key, []).append(position)
+    for positions in lanes.values():
+        plan, fmt, _ = specs[positions[0]]
         lane_inputs = tuple(specs[position][2] for position in positions)
         lane_outcomes = _run_lane(
             pool, plan, fmt, lane_inputs, counts, None
         )
-        for offset, position in enumerate(positions):
-            outcomes[position] = lane_outcomes[offset]
+        for position, outcome in zip(positions, lane_outcomes):
+            outcomes[position] = outcome
     return outcomes  # type: ignore[return-value]

@@ -244,10 +244,11 @@ class CrossTester:
         switches per-trial boundary tracing on; it fills with
         ``{trial index: finished spans}``. ``fault_plan``/``fault_seed``
         switch deterministic fault injection on, with fired injections
-        reported through ``injection_sink`` the same way. ``batch``
-        allows same-type trials to share deployment lanes (automatically
-        bypassed while tracing or injecting faults — see
-        :func:`repro.crosstest.executor.run_shard`).
+        reported through ``injection_sink`` the same way. Every trial
+        runs through the executor's one lane runner: ``batch`` lets
+        same-type trials share a lane, while traced or fault-injected
+        trials always run as lanes of one — see
+        :func:`repro.crosstest.executor.run_shard`.
         """
         from repro.crosstest.executor import execute
 
@@ -270,18 +271,18 @@ class CrossTester:
     def run_trial(self, plan: Plan, fmt: str, test_input: TestInput) -> Trial:
         """Run one trial against this tester's pooled deployments.
 
-        The deployment is leased from the executor's worker-global pool
-        (and reset on release) instead of being built and thrown away —
-        so ad-hoc single trials share warm plan caches with full runs.
+        The trial is a lane of one through
+        :func:`repro.crosstest.executor.run_trials`: its deployment is
+        leased from the executor's worker-global pool (and reset on
+        release) instead of being built and thrown away — so ad-hoc
+        single trials share warm plan caches with full runs.
         """
-        from repro.crosstest.executor import worker_pool
+        from repro.crosstest.executor import run_trials
 
-        pool = worker_pool(self.conf_overrides)
-        deployment = pool.lease()
-        try:
-            return run_trial_on(deployment, plan, fmt, test_input)
-        finally:
-            pool.release(deployment)
+        (outcome,) = run_trials(
+            [(plan, fmt, test_input)], self.conf_overrides
+        )
+        return Trial(plan, fmt, test_input, outcome)
 
 
 def run_trial_on(

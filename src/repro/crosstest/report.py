@@ -373,9 +373,10 @@ def run_crosstest(
     :class:`FaultReport` to the result. An empty or absent plan leaves
     the report byte-identical to a plain run.
 
-    ``batch`` (the default) lets same-type trials share deployment
-    lanes in the executor; traced or fault-injected trials always run
-    isolated, and the rendered report is byte-identical either way.
+    Every trial runs through the executor's one lane runner. ``batch``
+    (the default) lets same-type trials share a lane; traced or
+    fault-injected trials always run as lanes of one, and the rendered
+    report is byte-identical either way.
     """
     tester = CrossTester(
         inputs=inputs,

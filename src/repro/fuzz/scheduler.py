@@ -104,13 +104,6 @@ class FuzzConfig:
     corpus: str = "full"
     #: shrink novel findings after the budget is exhausted
     shrink: bool = True
-    #: allow batched deployment lanes in the executor. Campaign rounds
-    #: are always traced (coverage comes from spans) and therefore run
-    #: isolated regardless; lanes speed up the *untraced* executions —
-    #: today, the shrinker's reproduction runs. Kept as an escape hatch
-    #: (`--no-lanes`) rather than folded into ``batch``, which here
-    #: means candidates per round.
-    lanes: bool = True
 
     def __post_init__(self) -> None:
         if self.budget < 1:
@@ -135,7 +128,6 @@ class FuzzConfig:
             "formats": list(self.formats),
             "use_corpus": self.use_corpus,
             "corpus": self.corpus,
-            "lanes": self.lanes,
         }
 
 
@@ -484,7 +476,6 @@ class CampaignState:
             use_corpus=bool(sig["use_corpus"]),
             corpus=str(sig["corpus"]),
             shrink=shrink,
-            lanes=bool(sig["lanes"]),
         )
         corpus = _corpus_pool(config)
         state = cls(
@@ -612,7 +603,6 @@ def run_round(
         pool=config.pool,
         metrics=metrics,
         trace_sink=trace_sink,
-        batch=config.lanes,
         pool_handle=pool_handle,
     )
     state.trials_run += len(trials)
@@ -751,6 +741,5 @@ def run_fuzz(
                 config.formats,
                 finding.conf_overrides,
                 conf_label(finding.conf_overrides),
-                batch=config.lanes,
             )
     return result

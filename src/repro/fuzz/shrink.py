@@ -45,17 +45,13 @@ def reproduces(
     formats,
     conf_overrides: dict[str, object] | None,
     conf: str,
-    batch: bool = True,
 ) -> bool:
     """Does running just ``candidate`` still witness the fingerprint?
 
-    Reproduction runs are untraced, so with ``batch`` (the default)
-    they go through the executor's lane path — outcome-identical to
-    isolated execution by the lane byte-identity guarantee.
+    A one-input matrix: each (plan, fmt) shard holds one input, so
+    every trial runs as a lane of one — the isolated trial.
     """
-    trials = execute(
-        plans, formats, [candidate], conf_overrides, jobs=1, batch=batch
-    )
+    trials = execute(plans, formats, [candidate], conf_overrides, jobs=1)
     return fingerprint_key in run_fingerprints(trials, conf=conf)
 
 
@@ -186,7 +182,6 @@ def shrink_input(
     formats,
     conf_overrides: dict[str, object] | None,
     conf: str,
-    batch: bool = True,
 ) -> TestInput:
     """Greedily minimize ``test_input`` while its fingerprint survives."""
     current = test_input
@@ -211,7 +206,6 @@ def shrink_input(
                 formats,
                 conf_overrides,
                 conf,
-                batch=batch,
             ):
                 current = candidate
                 improved = True

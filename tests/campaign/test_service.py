@@ -160,6 +160,24 @@ class TestHardKillRecovery:
         with pytest.raises(CheckpointError, match="different campaign"):
             asyncio.run(service.run())
 
+    def test_header_lanes_switch_does_not_block_resume(
+        self, tmp_path, uninterrupted
+    ):
+        # earlier builds signed a "lanes" switch into the header's
+        # config; it never changed a (traced) campaign batch
+        paths = _paths(tmp_path, "lanes")
+        _run(paths, max_batches=1)
+        with open(paths["checkpoint_path"], "rb") as handle:
+            header, records = handle.read().split(b"\n", 1)
+        payload = json.loads(header)
+        payload["config"]["lanes"] = False
+        with open(paths["checkpoint_path"], "wb") as handle:
+            handle.write(json.dumps(payload).encode("utf-8") + b"\n")
+            handle.write(records)
+        _run(paths, max_batches=TOTAL_BATCHES)
+        assert _fingerprint_bytes(paths) == uninterrupted["fingerprints"]
+        assert _canonical_ledger(paths) == uninterrupted["ledger"]
+
 
 class TestBoundsAndExitContract:
     def test_max_batches_already_reached_runs_nothing(self, tmp_path):

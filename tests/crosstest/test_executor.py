@@ -1,10 +1,14 @@
 """Tests for the parallel cross-test execution engine."""
 
+import json
 import os
 import pickle
+import subprocess
+import sys
 
 import pytest
 
+from repro.crosstest import executor
 from repro.crosstest.executor import (
     CrossTestMetrics,
     DeploymentPool,
@@ -17,13 +21,23 @@ from repro.crosstest.executor import (
     run_shard,
     worker_pool,
 )
-from repro.crosstest.harness import NO_ROWS, CrossTester
+from repro.crosstest.harness import (
+    NO_ROWS,
+    CrossTester,
+    Deployment,
+    run_trial_on,
+)
 from repro.crosstest.plans import ALL_PLANS
 from repro.crosstest.report import run_crosstest
 from repro.crosstest.values import generate_inputs
+from repro.faults import BUILTIN_PLANS
 from repro.formats import UnknownFormatError
 
 SMALL_INPUTS = generate_inputs()[:30] + generate_inputs()[210:230]
+
+REPO = os.path.dirname(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+)
 
 
 def trial_reprs(trials):
@@ -116,11 +130,12 @@ class TestDeploymentPool:
 class TestRunShard:
     def test_pooled_and_fresh_deployments_agree(self):
         shard = build_shards(ALL_PLANS[:1], ("parquet",), SMALL_INPUTS)[0]
-        pooled = run_shard(shard, reuse_deployments=True)
-        fresh = run_shard(shard, reuse_deployments=False)
-        assert trial_reprs(pooled.to_trials(shard)) == trial_reprs(
-            fresh.to_trials(shard)
-        )
+        pooled = run_shard(shard)
+        fresh = [
+            run_trial_on(Deployment(), shard.plan, shard.fmt, test_input)
+            for test_input in shard.inputs
+        ]
+        assert trial_reprs(pooled.to_trials(shard)) == trial_reprs(fresh)
 
     def test_durations_cover_every_trial(self):
         shard = build_shards(ALL_PLANS[:1], ("orc",), SMALL_INPUTS[:5])[0]
@@ -146,6 +161,131 @@ class TestRunShard:
         batches = result.span_batches()
         assert len(batches) == 3
         assert all(batch for batch in batches)
+
+
+class TestLeaseAccounting:
+    """Every lease a shard takes is counted exactly once.
+
+    The shard's ``cache_counts`` must agree with what a fresh worker
+    pool handed out, and its plan-cache deltas with the movement of the
+    engines' own counters. ``w_df_r_sql`` on avro read-poisons the
+    tinyint lane, so the batched shard also fans out into lanes of one.
+    """
+
+    @pytest.mark.parametrize(
+        "kwargs,laned",
+        [
+            ({"batch": True}, True),
+            ({"batch": False}, False),
+            ({"batch": True, "tracing": True}, False),
+            (
+                {
+                    "batch": True,
+                    "fault_plan": BUILTIN_PLANS["smoke"],
+                    "fault_seed": 7,
+                },
+                False,
+            ),
+        ],
+        ids=["batched", "plain", "traced", "faulted"],
+    )
+    def test_counts_match_the_pool(self, monkeypatch, kwargs, laned):
+        monkeypatch.setattr(executor, "_WORKER_POOLS", {})
+        plan = next(p for p in ALL_PLANS if p.name == "w_df_r_sql")
+        shard = build_shards((plan,), ("avro",), SMALL_INPUTS)[0]
+        result = run_shard(shard, **kwargs)
+        counts = result.cache_counts
+        pool = worker_pool()
+        leases = pool.created + pool.reused
+        assert counts["deployments_created"] == pool.created
+        assert counts["deployments_reused"] == pool.reused
+        assert len(result.stage_durations["reset"]) == leases
+        if laned:
+            assert leases < len(shard.inputs)
+        else:
+            assert leases == len(shard.inputs)
+        # every deployment went back to the pool, so together they
+        # hold all the engine counter movement since they were built
+        assert len(pool._idle) == pool.created
+        stats = [
+            cache.stats
+            for deployment in pool._idle
+            for cache in (
+                deployment.spark.plan_cache,
+                deployment.hive.plan_cache,
+            )
+        ]
+        for name in ("hits", "misses", "invalidations", "evictions"):
+            assert counts[f"plan_cache_{name}"] == sum(
+                getattr(stat, name) for stat in stats
+            )
+        if "fault_plan" in kwargs:
+            # the engines bypass their plan caches while injecting; the
+            # connectors' retry counters are what moved
+            retries = [d.spark.connector.retry.stats for d in pool._idle]
+            assert counts["boundary_attempts"] == sum(
+                stat.attempts for stat in retries
+            )
+            assert counts["boundary_faults"] == sum(
+                stat.faults for stat in retries
+            )
+            assert counts["boundary_faults"] > 0
+        else:
+            assert counts["plan_cache_hits"] > 0
+
+
+class TestBenchmarkHooks:
+    """``perfbench/layers.py`` wraps executor entry points by the names
+    it looks up in this module; a rename would break the benchmark with
+    a ``KeyError`` that no other tier-1 test sees. Runs in a subprocess:
+    the wrappers stay installed for the life of the process."""
+
+    SCRIPT = """
+import json, sys
+from perfbench import layers, spans
+rec = spans.Recorder(sys.argv[1])
+layers.install(rec)
+from repro.crosstest import executor
+from repro.crosstest.plans import ALL_PLANS
+from repro.crosstest.values import generate_inputs
+seen = {}
+for name, sink in (("plain", None), ("traced", {})):
+    start = len(rec.spans)
+    rec.counts.clear()
+    executor.execute(
+        ALL_PLANS[:1], ("parquet",), generate_inputs()[:6],
+        jobs=1, trace_sink=sink,
+    )
+    seen[name] = {
+        "spans": sorted({span[2] for span in rec.spans[start:]}),
+        "lanes": sum(
+            value for (_, count), value in rec.counts.items()
+            if count == "executor.lanes"
+        ),
+    }
+print(json.dumps(seen))
+"""
+
+    def test_layers_wrap_the_lane_and_the_isolated_path(self, tmp_path):
+        env = dict(
+            os.environ,
+            PYTHONPATH=os.pathsep.join((os.path.join(REPO, "src"), REPO)),
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT, str(tmp_path)],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        seen = json.loads(proc.stdout)
+        for name in ("plain", "traced"):
+            spans = set(seen[name]["spans"])
+            assert {"harness.self", "harness.create", "harness.reset"} <= spans
+        # the plain run shares a lane; the traced one runs lanes of one
+        assert seen["plain"]["lanes"] > 0
+        assert seen["traced"]["lanes"] == 0
 
 
 class TestExecuteEquivalence:

@@ -268,6 +268,31 @@ class TestRunLaneLadder:
             assert outcome.stage == "read"
             assert outcome.error_type == "IncompatibleSchemaException"
 
+    def test_lane_of_one_runs_its_trial_once(self, monkeypatch):
+        # the read-poisoned lane above, one input wide: a lane of one is
+        # the isolated trial, so its failing scan is the outcome — no
+        # shared-scan attempt first, no second run in isolation
+        test_input = make_input(type_text="tinyint", sql="1", py=1)
+        plan = PLANS_BY_NAME["w_df_r_df"]
+        creates = []
+        create_table = Deployment.create_table
+
+        def counted_create(self, *args):
+            creates.append(args)
+            return create_table(self, *args)
+
+        monkeypatch.setattr(Deployment, "create_table", counted_create)
+        pool = DeploymentPool()
+        counts = _new_counts()
+        outcomes = _run_lane(pool, plan, "avro", (test_input,), counts, None)
+        assert pool.created + pool.reused == 1
+        assert counts["deployments_created"] == 1
+        assert counts["deployments_reused"] == 0
+        assert len(creates) == 1
+        isolated = run_trial_on(Deployment(), plan, "avro", test_input)
+        assert outcomes == [isolated.outcome]
+        assert outcomes[0].stage == "read"
+
     def test_clean_lane_needs_no_fallback(self):
         plan = PLANS_BY_NAME["w_hive_r_sql"]
         inputs = int_inputs(1, 2, 3)
