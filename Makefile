@@ -1,9 +1,9 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: tier1 smoke-crosstest smoke-tests test bench bench-json \
-	bench-gate perfbench-tests chaos fuzz-smoke fuzz-baseline lint \
-	crosstest status-smoke campaign-smoke analytics-smoke
+.PHONY: tier1 smoke-crosstest smoke-tests test bench bench-gate \
+	perfbench-tests chaos fuzz-smoke fuzz-baseline lint crosstest \
+	status-smoke campaign-smoke analytics-smoke
 
 # sub-second sanity tier: the distilled 14-input corpus must still
 # reproduce all 15 discrepancy mechanisms (run this before anything
@@ -28,19 +28,40 @@ test:
 bench:
 	$(PYTHON) -m pytest -q benchmarks
 
-# wall-clock + cache-counter benchmark of the §8 matrix: a jobs=1 leg
-# and a real process-pool leg at max(2, cpu_count) workers
-bench-json:
-	$(PYTHON) -m repro.crosstest.bench BENCH_crosstest.json
-
-# measure fresh, then gate jobs=1 wall time against the committed
-# baseline, parallel speedup against break-even (multi-core only),
-# and batched-lane speedup against a noise-tolerant 1.3x floor (the
-# committed baseline carries the full 2x acceptance bar)
+# same-runner regression gate on perfbench's matrix workload: BASE
+# (default: the merge base with origin/main) runs 3 times in a
+# throwaway git worktree, then this tree (uncommitted edits included)
+# runs once, graded against only those 3 runs. Both sides use this
+# tree's perfbench/ and BENCHMARK.json, so one benchmark measures both
+# programs. perfbench exits 0 even on a REGRESSED or FAIL verdict, so
+# the target reads the verdict line of the report (left in
+# bench-gate.md). The developer's own .perfbench/history.jsonl is never
+# read or written.
+BASE ?= $(shell git merge-base HEAD origin/main 2>/dev/null)
 bench-gate:
-	$(PYTHON) -m repro.crosstest.bench bench-fresh.json
-	$(PYTHON) -m repro.crosstest.benchgate bench-fresh.json \
-		--min-batch-speedup 1.3
+	@set -e; gate=.perfbench/gate; \
+	run="$(PYTHON) perfbench/run.py --workload matrix --seed 1 \
+		--seconds 10 --trace 0"; \
+	base=$$(git rev-parse --verify --quiet "$(BASE)^{commit}") || { \
+		echo "bench-gate: no base revision '$(BASE)'; pass BASE=REV" >&2; \
+		exit 2; }; \
+	rm -rf $$gate; git worktree prune; mkdir -p $$gate/head; \
+	trap 'git worktree remove --force $$gate/base 2>/dev/null; \
+		rm -rf $$gate; git worktree prune' EXIT; \
+	git worktree add --quiet --detach $$gate/base $$base; \
+	rm -rf $$gate/base/perfbench; \
+	cp -R perfbench BENCHMARK.json $$gate/base/; \
+	cp -R src perfbench BENCHMARK.json $$gate/head/; \
+	for i in 1 2 3; do \
+		(cd $$gate/base && $$run) > $$gate/base.md; \
+		echo "bench-gate: base $$base run $$i/3:" \
+			"$$(grep '^> \*\*VERDICT' $$gate/base.md)"; \
+	done; \
+	mkdir -p $$gate/head/.perfbench; \
+	cp $$gate/base/.perfbench/history.jsonl $$gate/head/.perfbench/; \
+	(cd $$gate/head && $$run) > bench-gate.md; \
+	cat bench-gate.md; \
+	grep -q '^> \*\*VERDICT\*\*: PASS' bench-gate.md
 
 # the benchmark's own tests (perfbench/, outside tier-1's testpaths):
 # result schema, a split that adds up, and the default path (lanes,

@@ -45,6 +45,7 @@ from repro.crosstest.executor import (
     CrossTestMetrics,
     WorkerPoolHandle,
     resolve_jobs,
+    resolve_pool,
 )
 from repro.fuzz.dedup import Baseline
 from repro.fuzz.scheduler import (
@@ -291,18 +292,20 @@ class CampaignService:
             "coverage_features": outcome.coverage_features,
             "rediscovered": list(outcome.rediscovered),
         }
+        jobs = resolve_jobs(config.jobs)
         env = run_env(
-            jobs=resolve_jobs(config.jobs),
-            pool=config.pool,
+            jobs=jobs,
+            pool=resolve_pool(config.pool, jobs),
             metrics=self.metrics,
         )
         return campaign_record(run, results, clock=self.clock, env=env)
 
     def _env(self) -> dict:
+        jobs = resolve_jobs(self.config.jobs)
         return {
             "ts": float(self.clock()),
-            "jobs": resolve_jobs(self.config.jobs),
-            "pool": self.config.pool,
+            "jobs": jobs,
+            "pool": resolve_pool(self.config.pool, jobs),
         }
 
     def _commit(self, outcome: RoundOutcome) -> None:

@@ -576,7 +576,7 @@ def _cmd_crosstest(args: argparse.Namespace) -> int:
     import time
 
     from repro.crosstest import FORMATS, CrossTestMetrics, run_crosstest
-    from repro.crosstest.executor import resolve_jobs
+    from repro.crosstest.executor import resolve_jobs, resolve_pool
     from repro.faults import PlanError, load_plan
     from repro.formats import UnknownFormatError
 
@@ -682,7 +682,7 @@ def _cmd_crosstest(args: argparse.Namespace) -> int:
             conf_overrides=overrides,
             env=run_env(
                 jobs=resolve_jobs(args.jobs),
-                pool=args.pool,
+                pool=resolve_pool(args.pool, resolve_jobs(args.jobs)),
                 wall_s=elapsed,
                 metrics=metrics,
             ),
@@ -767,15 +767,30 @@ def _write_trace_dir(report, trace_dir: str) -> str:
     return f"wrote {written} discrepancy traces to {trace_dir}"
 
 
+def _load_baseline(path: str | None):
+    """The fingerprint baseline ``--baseline`` names: ``none`` is an
+    empty one, ``None`` the committed file. Prints the error and returns
+    ``None`` when an explicit path cannot be read; a missing committed
+    baseline is empty, so everything found is novel."""
+    from repro.fuzz.dedup import Baseline, default_baseline_path
+
+    if path == "none":
+        return Baseline.empty()
+    try:
+        return Baseline.load(
+            path if path is not None else default_baseline_path()
+        )
+    except OSError as exc:
+        if path is not None:
+            print(f"bad --baseline: {exc}", file=sys.stderr)
+            return None
+        return Baseline.empty()
+
+
 def _cmd_fuzz(args: argparse.Namespace) -> int:
     import time
 
-    from repro.fuzz import (
-        Baseline,
-        FuzzConfig,
-        default_baseline_path,
-        run_fuzz,
-    )
+    from repro.fuzz import Baseline, FuzzConfig, run_fuzz
 
     try:
         config = FuzzConfig(
@@ -795,22 +810,9 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         print(f"bad --jobs {args.jobs}; expected >= 1", file=sys.stderr)
         return 2
 
-    if args.baseline == "none":
-        baseline = Baseline.empty()
-    else:
-        baseline_path = (
-            args.baseline
-            if args.baseline is not None
-            else default_baseline_path()
-        )
-        try:
-            baseline = Baseline.load(baseline_path)
-        except OSError as exc:
-            if args.baseline is not None:
-                print(f"bad --baseline: {exc}", file=sys.stderr)
-                return 2
-            # no committed baseline yet — everything found is novel
-            baseline = Baseline.empty()
+    baseline = _load_baseline(args.baseline)
+    if baseline is None:
+        return 2
 
     show_progress = not args.quiet and sys.stderr.isatty()
 
@@ -839,13 +841,14 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
 
     ledger_note = ledger_error = None
     if args.ledger is not None:
+        from repro.crosstest.executor import resolve_pool
         from repro.obs import Ledger, fuzz_record, run_env
 
         record = fuzz_record(
             result,
             env=run_env(
                 jobs=config.jobs,
-                pool=args.pool,
+                pool=resolve_pool(config.pool, config.jobs),
                 wall_s=elapsed,
                 metrics=metrics,
             ),
@@ -946,7 +949,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     import asyncio
 
     from repro.campaign import CampaignService, CheckpointError
-    from repro.fuzz import Baseline, FuzzConfig, default_baseline_path
+    from repro.fuzz import FuzzConfig
 
     if args.jobs < 1:
         print(f"bad --jobs {args.jobs}; expected >= 1", file=sys.stderr)
@@ -977,22 +980,9 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         print(f"bad campaign config: {exc}", file=sys.stderr)
         return 2
 
-    if args.baseline == "none":
-        baseline = Baseline.empty()
-    else:
-        baseline_path = (
-            args.baseline
-            if args.baseline is not None
-            else default_baseline_path()
-        )
-        try:
-            baseline = Baseline.load(baseline_path)
-        except OSError as exc:
-            if args.baseline is not None:
-                print(f"bad --baseline: {exc}", file=sys.stderr)
-                return 2
-            # no committed baseline yet — everything found is novel
-            baseline = Baseline.empty()
+    baseline = _load_baseline(args.baseline)
+    if baseline is None:
+        return 2
 
     def progress(outcome):
         print(
@@ -1515,23 +1505,10 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 def _cmd_triage(args: argparse.Namespace) -> int:
     from repro.analytics import TriageError, triage_checkpoint, write_triage
     from repro.campaign import CheckpointError
-    from repro.fuzz.dedup import Baseline, default_baseline_path
 
-    if args.baseline == "none":
-        baseline = Baseline.empty()
-    else:
-        baseline_path = (
-            args.baseline
-            if args.baseline is not None
-            else default_baseline_path()
-        )
-        try:
-            baseline = Baseline.load(baseline_path)
-        except OSError as exc:
-            if args.baseline is not None:
-                print(f"bad --baseline: {exc}", file=sys.stderr)
-                return 2
-            baseline = Baseline.empty()
+    baseline = _load_baseline(args.baseline)
+    if baseline is None:
+        return 2
 
     try:
         report, delta, proposed = triage_checkpoint(

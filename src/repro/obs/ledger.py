@@ -16,9 +16,9 @@ runs ("which discrepancies keep failing together?") become answerable
   byte-identical at every ``--jobs``/pool setting, which is what lets
   two ledgers from different machines diff cleanly (and what the
   determinism tests pin at jobs 1/2/4 on thread and process pools).
-* ``env`` and ``ts`` are explicitly *volatile*: wall clock, worker
-  count, latency histogram snapshots, git/bench metadata. Consumers
-  that compare or cluster records must ignore them;
+* ``env`` and ``ts`` are explicitly *volatile*: wall clock, host
+  cores, worker count and pool, latency histogram snapshots, git
+  metadata. Consumers that compare or cluster records must ignore them;
   :func:`canonical_record` strips both — which is how a campaign
   killed mid-run and resumed hours later still produces
   canonically-identical records to an uninterrupted run.
@@ -103,8 +103,9 @@ LEDGER_SCHEMA = {
         },
         "env": (
             "volatile facts, excluded from determinism guarantees: "
-            "jobs, pool, wall_s, metrics (registry snapshot incl. "
-            "latency histograms), git {commit}, bench {trials/s}"
+            "cores, jobs, pool (resolved: thread|process), wall_s, "
+            "metrics (registry snapshot incl. latency histograms), "
+            "git {commit}"
         ),
     },
 }
@@ -382,9 +383,11 @@ def run_env(
     metrics=None,
 ) -> dict:
     """The volatile ``env`` section of a record, from what the caller
-    measured plus best-effort git/bench metadata. Nothing here feeds
-    clustering or determinism checks — see :func:`canonical_record`."""
-    env: dict[str, object] = {}
+    measured plus the host's core count and best-effort git metadata.
+    ``pool`` should be the resolved flavour (``thread``/``process``),
+    not ``auto``. Nothing here feeds clustering or determinism checks —
+    see :func:`canonical_record`."""
+    env: dict[str, object] = {"cores": os.cpu_count() or 1}
     if jobs is not None:
         env["jobs"] = int(jobs)
     if pool is not None:
@@ -396,19 +399,14 @@ def run_env(
     git = _git_metadata()
     if git is not None:
         env["git"] = git
-    bench = _bench_metadata()
-    if bench is not None:
-        env["bench"] = bench
     return env
 
 
-# Both metadata probes are cached per process: a long campaign appends
-# one record per batch, and paying a `git rev-parse` fork plus a bench
-# file read on every append adds up to real wall time for facts that
-# cannot change under a running process. `_clear_metadata_cache()` (for
-# tests) resets both; the bench cache is keyed by resolved path so an
-# env-var change between appends still re-resolves.
-_METADATA_CACHE: dict[object, dict | None] = {}
+# The git probe is cached per process: a long campaign appends one
+# record per batch, and paying a `git rev-parse` fork on every append
+# adds up to real wall time for a fact that cannot change under a
+# running process. `_clear_metadata_cache()` (for tests) resets it.
+_METADATA_CACHE: dict[str, dict | None] = {}
 
 
 def _clear_metadata_cache() -> None:
@@ -431,40 +429,6 @@ def _probe_git_metadata() -> dict | None:
         )
         if proc.returncode == 0 and proc.stdout.strip():
             return {"commit": proc.stdout.strip()}
-    except Exception:  # noqa: BLE001 - metadata is strictly best-effort
-        pass
-    return None
-
-
-def _bench_json_path() -> str:
-    """Where the bench snapshot lives: ``REPRO_BENCH_JSON`` when set,
-    else ``BENCH_crosstest.json`` at the repo root — *not* the cwd, so
-    a campaign launched from any working directory still records its
-    host's bench metadata."""
-    override = os.environ.get("REPRO_BENCH_JSON")
-    if override:
-        return override
-    repo_root = os.path.dirname(  # src/repro/obs/ledger.py -> repo root
-        os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
-    )
-    return os.path.join(repo_root, "BENCH_crosstest.json")
-
-
-def _bench_metadata() -> dict | None:
-    path = _bench_json_path()
-    key = ("bench", path)
-    if key not in _METADATA_CACHE:
-        _METADATA_CACHE[key] = _probe_bench_metadata(path)
-    return _METADATA_CACHE[key]
-
-
-def _probe_bench_metadata(path: str) -> dict | None:
-    try:
-        with open(path, encoding="utf-8") as handle:
-            payload = json.load(handle)
-        rate = payload.get("jobs1", {}).get("trials_per_s")
-        if rate is not None:
-            return {"jobs1_trials_per_s": rate}
     except Exception:  # noqa: BLE001 - metadata is strictly best-effort
         pass
     return None

@@ -275,10 +275,8 @@ class TestTornTail:
 
 
 class TestMetadataCaching:
-    """Ledger appends must not pay a git fork / bench-file read each
-    time: both probes run once per process (PR 10 satellite), and the
-    bench snapshot resolves against the repo root or REPRO_BENCH_JSON,
-    never the cwd."""
+    """Ledger appends must not pay a git fork each time: the probe runs
+    once per process."""
 
     @pytest.fixture(autouse=True)
     def fresh_cache(self):
@@ -320,60 +318,6 @@ class TestMetadataCaching:
         assert ledger_mod._git_metadata() is None
         assert ledger_mod._git_metadata() is None
         assert len(calls) == 1
-
-    def test_bench_env_var_overrides_path(self, tmp_path, monkeypatch):
-        from repro.obs import ledger as ledger_mod
-
-        bench = tmp_path / "elsewhere.json"
-        bench.write_text(json.dumps({"jobs1": {"trials_per_s": 12345.0}}))
-        monkeypatch.setenv("REPRO_BENCH_JSON", str(bench))
-        assert ledger_mod._bench_metadata() == {
-            "jobs1_trials_per_s": 12345.0
-        }
-
-    def test_bench_default_resolves_repo_root_not_cwd(
-        self, tmp_path, monkeypatch
-    ):
-        import os
-
-        from repro.obs import ledger as ledger_mod
-
-        monkeypatch.delenv("REPRO_BENCH_JSON", raising=False)
-        # a decoy in the cwd must NOT be picked up
-        monkeypatch.chdir(tmp_path)
-        (tmp_path / "BENCH_crosstest.json").write_text(
-            json.dumps({"jobs1": {"trials_per_s": 1.0}})
-        )
-        path = ledger_mod._bench_json_path()
-        assert os.path.isabs(path)
-        assert path != str(tmp_path / "BENCH_crosstest.json")
-        # repo root = the directory holding src/repro
-        root = os.path.dirname(
-            os.path.dirname(
-                os.path.dirname(os.path.dirname(ledger_mod.__file__))
-            )
-        )
-        assert path == os.path.join(root, "BENCH_crosstest.json")
-
-    def test_bench_cache_is_keyed_by_resolved_path(
-        self, tmp_path, monkeypatch
-    ):
-        from repro.obs import ledger as ledger_mod
-
-        first = tmp_path / "a.json"
-        first.write_text(json.dumps({"jobs1": {"trials_per_s": 1.0}}))
-        second = tmp_path / "b.json"
-        second.write_text(json.dumps({"jobs1": {"trials_per_s": 2.0}}))
-        monkeypatch.setenv("REPRO_BENCH_JSON", str(first))
-        assert ledger_mod._bench_metadata() == {"jobs1_trials_per_s": 1.0}
-        # pointing the env var elsewhere between appends re-resolves
-        # rather than serving the stale cache entry
-        monkeypatch.setenv("REPRO_BENCH_JSON", str(second))
-        assert ledger_mod._bench_metadata() == {"jobs1_trials_per_s": 2.0}
-        # ...and the first entry is still cached, not re-read
-        first.unlink()
-        monkeypatch.setenv("REPRO_BENCH_JSON", str(first))
-        assert ledger_mod._bench_metadata() == {"jobs1_trials_per_s": 1.0}
 
 
 class TestCampaignRecord:
@@ -437,3 +381,30 @@ class TestRunEnv:
         metrics.trials_total.increment(3)
         env = run_env(metrics=metrics)
         assert env["metrics"]["trials_total"]["value"] == 3.0
+
+    def test_env_records_host_facts_not_a_bench_file(
+        self, tmp_path, monkeypatch
+    ):
+        import os
+
+        from repro.crosstest.executor import resolve_pool
+
+        bench = tmp_path / "bench.json"
+        bench.write_text(json.dumps({"jobs1": {"trials_per_s": 1.0}}))
+        monkeypatch.setenv("REPRO_BENCH_JSON", str(bench))
+        env = run_env(jobs=2, pool=resolve_pool("auto", 2))
+        assert env["cores"] == (os.cpu_count() or 1)
+        assert env["pool"] == "process"
+        assert "bench" not in env
+
+    def test_crosstest_cli_records_the_resolved_pool(self, tmp_path):
+        from repro.cli import main
+
+        path = tmp_path / "ledger.jsonl"
+        assert main([
+            "crosstest", "--formats", "parquet", "--jobs", "2",
+            "--corpus", "smoke", "--quiet", "--ledger", str(path),
+        ]) == 0
+        (record,) = read_ledger(str(path))
+        assert record["env"]["pool"] == "process"
+        assert record["env"]["jobs"] == 2
