@@ -28,40 +28,45 @@ test:
 bench:
 	$(PYTHON) -m pytest -q benchmarks
 
-# same-runner regression gate on perfbench's matrix workload: BASE
-# (default: the merge base with origin/main) runs 3 times in a
-# throwaway git worktree, then this tree (uncommitted edits included)
-# runs once, graded against only those 3 runs. Both sides use this
-# tree's perfbench/ and BENCHMARK.json, so one benchmark measures both
-# programs. perfbench exits 0 even on a REGRESSED or FAIL verdict, so
-# the target reads the verdict line of the report (left in
-# bench-gate.md). The developer's own .perfbench/history.jsonl is never
-# read or written.
+# same-runner regression gate on perfbench's matrix and campaign
+# workloads: for each, BASE (default: the merge base with origin/main)
+# runs 3 times in a throwaway git worktree, then this tree (uncommitted
+# edits included) runs once, graded against only those 3 runs. Both
+# sides use this tree's perfbench/ and BENCHMARK.json, so one benchmark
+# measures both programs. perfbench exits 0 even on a REGRESSED or FAIL
+# verdict, so the target reads the verdict lines of the two reports
+# (left one after the other in bench-gate.md) and fails unless both
+# say PASS. The developer's own .perfbench/history.jsonl is never read
+# or written.
 BASE ?= $(shell git merge-base HEAD origin/main 2>/dev/null)
 bench-gate:
 	@set -e; gate=.perfbench/gate; \
-	run="$(PYTHON) perfbench/run.py --workload matrix --seed 1 \
-		--seconds 10 --trace 0"; \
 	base=$$(git rev-parse --verify --quiet "$(BASE)^{commit}") || { \
 		echo "bench-gate: no base revision '$(BASE)'; pass BASE=REV" >&2; \
 		exit 2; }; \
-	rm -rf $$gate; git worktree prune; mkdir -p $$gate/head; \
+	rm -rf $$gate bench-gate.md; git worktree prune; mkdir -p $$gate/head; \
 	trap 'git worktree remove --force $$gate/base 2>/dev/null; \
 		rm -rf $$gate; git worktree prune' EXIT; \
 	git worktree add --quiet --detach $$gate/base $$base; \
 	rm -rf $$gate/base/perfbench; \
 	cp -R perfbench BENCHMARK.json $$gate/base/; \
 	cp -R src perfbench BENCHMARK.json $$gate/head/; \
-	for i in 1 2 3; do \
-		(cd $$gate/base && $$run) > $$gate/base.md; \
-		echo "bench-gate: base $$base run $$i/3:" \
-			"$$(grep '^> \*\*VERDICT' $$gate/base.md)"; \
+	for workload in matrix campaign; do \
+		run="$(PYTHON) perfbench/run.py --workload $$workload --seed 1 \
+			--seconds 10 --trace 0"; \
+		for i in 1 2 3; do \
+			(cd $$gate/base && $$run) > $$gate/base.md; \
+			echo "bench-gate: $$workload: base $$base run $$i/3:" \
+				"$$(grep '^> \*\*VERDICT' $$gate/base.md)"; \
+		done; \
+		mkdir -p $$gate/head/.perfbench; \
+		cp $$gate/base/.perfbench/history.jsonl $$gate/head/.perfbench/; \
+		(cd $$gate/head && $$run) > $$gate/head.md; \
+		cat $$gate/head.md; \
+		cat $$gate/head.md >> bench-gate.md; echo >> bench-gate.md; \
 	done; \
-	mkdir -p $$gate/head/.perfbench; \
-	cp $$gate/base/.perfbench/history.jsonl $$gate/head/.perfbench/; \
-	(cd $$gate/head && $$run) > bench-gate.md; \
-	cat bench-gate.md; \
-	grep -q '^> \*\*VERDICT\*\*: PASS' bench-gate.md
+	passed=$$(grep -c '^> \*\*VERDICT\*\*: PASS' bench-gate.md || true); \
+	test "$$passed" -eq 2
 
 # the benchmark's own tests (perfbench/, outside tier-1's testpaths):
 # result schema, a split that adds up, and the default path (lanes,

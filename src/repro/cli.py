@@ -905,12 +905,14 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
 def _write_fuzz_out_dir(result, out_dir: str) -> str:
     """Write the campaign's artifacts: the fingerprint JSONL plus one
     ``findings/<slug>/`` directory (repro.json + trace.jsonl) per novel
-    finding. Every byte is derived from the (deterministic) result, so
-    two equal campaigns write identical trees.
+    finding. Everything but the traces' timings is derived from the
+    (deterministic) result, so two equal campaigns write equal trees;
+    each trace comes from re-running the finding's witness traced.
     """
     import os
     import re
 
+    from repro.fuzz.scheduler import trace_witness
     from repro.tracing import write_jsonl
 
     os.makedirs(out_dir, exist_ok=True)
@@ -919,6 +921,8 @@ def _write_fuzz_out_dir(result, out_dir: str) -> str:
         for record in result.fingerprint_records():
             handle.write(json.dumps(record, sort_keys=True) + "\n")
     written = 0
+    # findings often share a witness: trace each witness once
+    traces: dict[int, list] = {}
     for index, finding in enumerate(result.novel_findings):
         fp = finding.fingerprint
         slug = re.sub(
@@ -933,11 +937,12 @@ def _write_fuzz_out_dir(result, out_dir: str) -> str:
         ) as handle:
             json.dump(finding.to_json(), handle, indent=1, sort_keys=True)
             handle.write("\n")
-        spans = result.spans_by_input.get(finding.witness.input_id, [])
-        if spans:
-            write_jsonl(
-                list(spans), os.path.join(finding_dir, "trace.jsonl")
-            )
+        input_id = finding.witness.input_id
+        if input_id not in traces:
+            traces[input_id] = trace_witness(result.config, finding)
+        write_jsonl(
+            traces[input_id], os.path.join(finding_dir, "trace.jsonl")
+        )
         written += 1
     return (
         f"wrote {len(result.findings)} fingerprints and {written} "

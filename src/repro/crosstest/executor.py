@@ -12,12 +12,18 @@ lease, one ``CREATE TABLE`` and one ``SELECT *``; a *lane of one* is
 the isolated trial, and is what traced and fault-injected runs use, so
 each of their trials keeps its own tracer and fault injector.
 
+A caller whose per-input work needs every trial of one input (the fuzz
+campaign's coverage features and oracles) runs *input tasks* instead
+(:class:`InputTask`): one input under every plan × format, traced, in
+one worker, which analyzes its trials before anything ships home.
+
 Two invariants hold regardless of scheduling:
 
 * **Byte-identical results.** Shards are indexed in the same
-  plan → format → input order the sequential loop uses and reassembled
-  by index, so the returned ``Trial`` list is identical no matter how
-  many workers ran or in which order they finished.
+  plan → format → input order the sequential loop uses (input tasks in
+  input order) and reassembled by index into that order, so the
+  returned ``Trial`` list is identical no matter how many workers ran
+  or in which order they finished.
 * **Deployment isolation.** Each lane starts on a pristine deployment.
   Deployments are *pooled*: a leased deployment is reset (trial table
   dropped, data directory deleted) before reuse, and discarded the
@@ -67,12 +73,14 @@ from repro.tracing.export import decode_span_batches, encode_span_batches
 
 __all__ = [
     "Shard",
+    "InputTask",
     "ShardResult",
     "DeploymentPool",
     "CrossTestMetrics",
     "WorkerPoolHandle",
     "build_shards",
     "run_shard",
+    "run_input",
     "worker_pool",
     "corpus_texts",
     "prewarm_worker",
@@ -99,6 +107,32 @@ class Shard:
     fmt: str
     inputs: tuple[TestInput, ...]
 
+    def __len__(self) -> int:
+        return len(self.inputs)
+
+
+@dataclass(frozen=True)
+class InputTask:
+    """One input under every (plan, fmt) cell: an input-major unit."""
+
+    #: the input's position in the run's input list
+    index: int
+    #: ``(plan, fmt)`` in plan → format order
+    cells: tuple[tuple[Plan, str], ...]
+    test_input: TestInput
+
+    def __len__(self) -> int:
+        return len(self.cells)
+
+
+#: a unit of work :func:`execute` dispatches
+Task = Shard | InputTask
+
+#: what an input task's worker runs over the input's trials and spans
+#: (trials and per-trial spans in cell order); it must pickle by
+#: reference, and so must its return value
+Analyze = Callable[[list[Trial], list[tuple[Span, ...]]], object]
+
 
 #: ``Outcome`` fields in declaration order — the columnar wire schema a
 #: shard ships home instead of per-trial ``Trial`` pickles.
@@ -117,40 +151,43 @@ _OUTCOME_FIELDS = (
 
 @dataclass
 class ShardResult:
-    """What one shard produced, in wire form (columnar + encoded blobs).
+    """What one shard or input task produced, in wire form.
 
     A worker never echoes its inputs back: the parent already holds the
-    shard's plan, format and ``TestInput`` sequence, so only the
+    task's plans, formats and ``TestInput`` sequence, so only the
     *observations* ship —
 
     * ``outcome_columns``: one tuple per :class:`Outcome` field (in
       ``_OUTCOME_FIELDS`` order), each holding that field for every
-      trial in shard order. Columnar instead of per-trial dataclass
+      trial in task order. Columnar instead of per-trial dataclass
       tuples, so nothing re-pickles ``Plan``/``TestInput`` objects (and
       their cached parsed types) on the way home.
-    * ``durations``: per-trial wall-clock, shard order.
-    * ``cache_counts``: the *deltas* this shard contributed to the
+    * ``durations``: per-trial wall-clock, task order.
+    * ``cache_counts``: the *deltas* this task contributed to the
       engines' plan-cache counters (and deployment provisioning
       counts) — deltas rather than totals so results aggregate
       correctly when worker processes keep long-lived pools across
-      shards.
-    * ``spans_blob``: only when the shard ran with tracing — every
+      tasks.
+    * ``spans_blob``: only when a shard ran with tracing — every
       trial's finished spans encoded once per shard via
       :func:`~repro.tracing.export.encode_span_batches`.
-    * ``injections_blob``: only when the shard ran under a fault plan —
+    * ``injections_blob``: only when a shard ran under a fault plan —
       per-trial :class:`InjectionRecord` tuples encoded the same way.
     * ``stage_durations``: wall-clock samples per harness stage
       (``create``/``write``/``read``/``reset``), aggregated across the
-      shard — the raw feed for the per-stage latency histograms. Not
+      task — the raw feed for the per-stage latency histograms. Not
       per-trial: a lane's create covers many trials at once.
+    * ``analysis``: only for an input task — what its ``analyze``
+      callable returned in the worker (see :func:`run_input`).
 
     :meth:`pack` builds the wire form inside the worker and
     :meth:`to_trials` / :meth:`span_batches` / :meth:`injection_batches`
-    rebuild the rich objects parent-side. The encode/decode round trip
-    runs at *every* ``jobs`` setting (including inline ``jobs=1``), so
-    span payloads are canonicalised identically no matter how the
-    matrix was scheduled — fuzz coverage features and report bytes
-    cannot depend on ``--jobs``.
+    rebuild the rich objects parent-side. A traced shard's span
+    encode/decode round trip runs at *every* ``jobs`` setting
+    (including inline ``jobs=1``), so exported spans and report bytes
+    cannot depend on ``--jobs``. An input task's spans never leave its
+    worker: the analysis reads them raw, and what it reads of them
+    (strings and bools) is what the round trip would have kept anyway.
     """
 
     index: int
@@ -160,11 +197,12 @@ class ShardResult:
     spans_blob: bytes | None = None
     injections_blob: bytes | None = None
     stage_durations: dict[str, list[float]] = field(default_factory=dict)
+    analysis: object = None
 
     @classmethod
     def pack(
         cls,
-        shard: Shard,
+        shard: Task,
         outcomes: list[Outcome],
         durations: list[float],
         cache_counts: dict[str, int],
@@ -172,7 +210,7 @@ class ShardResult:
         injections: list[tuple[InjectionRecord, ...]] | None,
         stage_times: list[tuple[str, float]] | None = None,
     ) -> "ShardResult":
-        """Encode one executed shard into its wire form (worker side)."""
+        """Encode one executed task into its wire form (worker side)."""
         stage_durations: dict[str, list[float]] = {}
         for stage, seconds in stage_times or ():
             stage_durations.setdefault(stage, []).append(seconds)
@@ -195,8 +233,15 @@ class ShardResult:
             stage_durations=stage_durations,
         )
 
-    def to_trials(self, shard: Shard) -> list[Trial]:
-        """Rebuild the shard's trials against the parent-side inputs."""
+    def to_trials(self, shard: Task) -> list[Trial]:
+        """Rebuild the task's trials against the parent-side inputs."""
+        if isinstance(shard, InputTask):
+            return [
+                Trial(plan, fmt, shard.test_input, Outcome(*fields))
+                for (plan, fmt), *fields in zip(
+                    shard.cells, *self.outcome_columns
+                )
+            ]
         return [
             Trial(shard.plan, shard.fmt, test_input, Outcome(*fields))
             for test_input, *fields in zip(
@@ -682,6 +727,52 @@ def run_shard(
     )
 
 
+def run_input(
+    task: InputTask,
+    conf_overrides: dict[str, object] | None,
+    analyze: Analyze,
+) -> ShardResult:
+    """Execute one input task and analyze it where it ran.
+
+    Every cell runs the input as a lane of one under its own
+    :class:`~repro.tracing.Tracer` (trace id ``plan/fmt/input_id``), on
+    this worker's pool for these conf overrides — the traced shape
+    :func:`run_shard` gives a traced shard. Then ``analyze(trials,
+    spans)`` runs here, in the worker, on the trials and their raw
+    spans in cell order, and its return rides home on
+    :attr:`ShardResult.analysis` next to the outcome columns. The spans
+    themselves are never encoded or shipped.
+    """
+    pool = worker_pool(conf_overrides)
+    counts = _new_counts()
+    stage_times: list[tuple[str, float]] = []
+    test_input = task.test_input
+    trials: list[Trial] = []
+    durations: list[float] = []
+    traces: list[tuple[Span, ...]] = []
+    for plan, fmt in task.cells:
+        tracer = Tracer(trace_id=f"{plan.name}/{fmt}/{test_input.input_id}")
+        started = time.perf_counter()
+        [outcome] = _run_lane(
+            pool, plan, fmt, (test_input,), counts, stage_times,
+            tracer=tracer,
+        )
+        durations.append(time.perf_counter() - started)
+        trials.append(Trial(plan, fmt, test_input, outcome))
+        traces.append(tuple(tracer.finished))
+    result = ShardResult.pack(
+        task,
+        [trial.outcome for trial in trials],
+        durations,
+        counts,
+        None,
+        None,
+        stage_times=stage_times,
+    )
+    result.analysis = analyze(trials, traces)
+    return result
+
+
 class CrossTestMetrics:
     """Run telemetry: stage counters + latency histograms.
 
@@ -759,19 +850,24 @@ class CrossTestMetrics:
             description=f"trial latency for {kind} {name} (seconds)",
         )
 
-    def record_shard(
-        self, shard: Shard, result: ShardResult, trials: list[Trial]
-    ) -> None:
-        """Fold one shard in; ``trials`` is ``result.to_trials(shard)``,
-        passed in because the caller already rebuilt them."""
-        plan_hist = self._latency("plan", shard.plan.name)
-        fmt_hist = self._latency("fmt", shard.fmt)
+    def record_shard(self, result: ShardResult, trials: list[Trial]) -> None:
+        """Fold one shard or input task in; ``trials`` is
+        ``result.to_trials(task)``, passed in because the caller already
+        rebuilt them."""
+        plan = fmt = None
         for trial, duration in zip(trials, result.durations):
             self.trials_total.increment()
             if trial.outcome.ok:
                 self.trials_ok.increment()
             elif trial.outcome.stage in self.stage_errors:
                 self.stage_errors[trial.outcome.stage].increment()
+            # a shard's trials share one cell, an input task's do not
+            if trial.plan is not plan:
+                plan = trial.plan
+                plan_hist = self._latency("plan", plan.name)
+            if trial.fmt is not fmt:
+                fmt = trial.fmt
+                fmt_hist = self._latency("fmt", fmt)
             plan_hist.observe(duration)
             fmt_hist.observe(duration)
         for stage, samples in result.stage_durations.items():
@@ -972,6 +1068,8 @@ def execute(
     prewarm: bool = True,
     batch: bool = True,
     pool_handle: "WorkerPoolHandle | None" = None,
+    analyze: Analyze | None = None,
+    analysis_sink: dict[int, object] | None = None,
 ) -> list[Trial]:
     """Run the full matrix and return trials in sequential order.
 
@@ -983,8 +1081,8 @@ def execute(
     Traced or fault-injected runs always use lanes of one; reports
     are byte-identical either way.
 
-    ``progress``, if given, is called after every shard completes as
-    ``progress(done_shards, total_shards, done_trials, total_trials)``.
+    ``progress``, if given, is called after every task completes as
+    ``progress(done_tasks, total_tasks, done_trials, total_trials)``.
 
     ``trace_sink``, if given, switches per-trial tracing on and is
     filled with ``{global trial index: finished spans}`` — the index
@@ -996,11 +1094,19 @@ def execute(
     ``injection_sink`` is filled like ``trace_sink``, with
     ``{global trial index: fired injection records}``.
 
+    ``analyze``, if given, dispatches one :class:`InputTask` per input
+    instead of shards: each input's trials under every plan × format
+    run traced, as lanes of one, in one worker, which calls ``analyze``
+    on them (see :func:`run_input`). ``analysis_sink`` is filled with
+    ``{input position: what analyze returned}``. No span leaves the
+    worker, so this cannot be combined with ``trace_sink`` or faults.
+    The returned trials keep the plan → format → input order.
+
     ``prewarm`` (process pools only) installs :func:`prewarm_worker`
     as the pool initializer so fresh workers start on warm parse and
-    plan caches instead of paying cold-start on their first shard.
+    plan caches instead of paying cold-start on their first task.
 
-    ``pool_handle``, if given (and ``jobs > 1``), submits shards to the
+    ``pool_handle``, if given (and ``jobs > 1``), submits tasks to the
     caller's persistent :class:`WorkerPoolHandle` instead of building
     and tearing down a pool inside this call — the repeated-submission
     path the fuzz scheduler and the always-on campaign service use.
@@ -1008,86 +1114,82 @@ def execute(
     initializer at construction).
 
     A zero-trial matrix (no plans, no formats, or no inputs) returns
-    immediately — no shards, no pool, no progress callbacks.
+    immediately — no tasks, no pool, no progress callbacks.
     """
     jobs = resolve_jobs(jobs)
     inputs = list(inputs)
-    shards = build_shards(plans, formats, inputs, shard_inputs=shard_inputs)
-    if not shards:
-        return []
-    total_trials = sum(len(s.inputs) for s in shards)
     tracing = trace_sink is not None
     if fault_plan is not None and fault_plan.empty:
         fault_plan = None
+    tasks: list[Task]
+    if analyze is None:
+        tasks = build_shards(plans, formats, inputs, shard_inputs=shard_inputs)
+        work, args = run_shard, (
+            conf_overrides, tracing, fault_plan, fault_seed, batch,
+        )
+    elif tracing or fault_plan is not None or injection_sink is not None:
+        raise ValueError("analyze runs without a trace sink or faults")
+    else:
+        cells = tuple((plan, fmt) for plan in plans for fmt in formats)
+        tasks = [
+            InputTask(index, cells, test_input)
+            for index, test_input in enumerate(inputs)
+        ] if cells else []
+        work, args = run_input, (conf_overrides, analyze)
+    if not tasks:
+        return []
     offsets: list[int] = []
-    base = 0
-    for shard in shards:
-        offsets.append(base)
-        base += len(shard.inputs)
+    total_trials = 0
+    for task in tasks:
+        offsets.append(total_trials)
+        total_trials += len(task)
     trials_by_index: dict[int, list[Trial]] = {}
     done_trials = 0
 
-    def finish(shard: Shard, result: ShardResult) -> None:
+    def finish(task: Task, result: ShardResult) -> None:
         nonlocal done_trials
-        shard_trials = result.to_trials(shard)
-        trials_by_index[shard.index] = shard_trials
-        done_trials += len(shard_trials)
+        task_trials = result.to_trials(task)
+        trials_by_index[task.index] = task_trials
+        done_trials += len(task_trials)
         if metrics is not None:
-            metrics.record_shard(shard, result, shard_trials)
+            metrics.record_shard(result, task_trials)
+        if analysis_sink is not None:
+            analysis_sink[task.index] = result.analysis
         if trace_sink is not None:
             batches = result.span_batches()
             if batches is not None:
-                offset = offsets[shard.index]
+                offset = offsets[task.index]
                 for position, spans in enumerate(batches):
                     trace_sink[offset + position] = spans
         if injection_sink is not None:
             batches = result.injection_batches()
             if batches is not None:
-                offset = offsets[shard.index]
+                offset = offsets[task.index]
                 for position, records in enumerate(batches):
                     injection_sink[offset + position] = records
         if progress is not None:
             progress(
-                len(trials_by_index), len(shards), done_trials, total_trials
+                len(trials_by_index), len(tasks), done_trials, total_trials
             )
 
     if jobs == 1:
-        # sequential semantics: shards walked in order on the calling
+        # sequential semantics: tasks walked in order on the calling
         # thread, deployments pooled so the engines' plan caches carry
         # across trials (results are byte-identical to fresh-per-trial —
         # the pooled-vs-fresh equivalence is pinned by tests).
-        for shard in shards:
-            finish(
-                shard,
-                run_shard(
-                    shard,
-                    conf_overrides,
-                    tracing=tracing,
-                    fault_plan=fault_plan,
-                    fault_seed=fault_seed,
-                    batch=batch,
-                ),
-            )
+        for task in tasks:
+            finish(task, work(task, *args))
     else:
 
         def drain(workers: Executor) -> None:
             pending = {
-                workers.submit(
-                    run_shard,
-                    shard,
-                    conf_overrides,
-                    tracing,
-                    fault_plan,
-                    fault_seed,
-                    batch,
-                ): shard
-                for shard in shards
+                workers.submit(work, task, *args): task for task in tasks
             }
             while pending:
                 done, _ = wait(pending, return_when=FIRST_COMPLETED)
                 for future in done:
-                    shard = pending.pop(future)
-                    finish(shard, future.result())
+                    task = pending.pop(future)
+                    finish(task, future.result())
 
         if pool_handle is not None:
             drain(pool_handle.executor())
@@ -1117,12 +1219,19 @@ def execute(
                     statement_texts,
                 )
             with _make_executor(
-                flavour, min(jobs, len(shards)), initializer, initargs
+                flavour, min(jobs, len(tasks)), initializer, initargs
             ) as workers:
                 drain(workers)
 
+    if analyze is not None:
+        # input task i holds column i of the plan → format → input matrix
+        return [
+            trials_by_index[index][cell]
+            for cell in range(len(tasks[0]))
+            for index in range(len(tasks))
+        ]
     trials: list[Trial] = []
-    for index in range(len(shards)):
+    for index in range(len(tasks)):
         trials.extend(trials_by_index[index])
     return trials
 

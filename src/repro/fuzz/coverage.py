@@ -7,6 +7,13 @@ schema replays). A generated input that lights up a ``(site, decision)``
 pair no earlier input reached is promoted into the scheduler's seed
 pool and mutated further.
 
+Extraction runs in the worker that ran the candidate, on its raw
+spans (:func:`repro.fuzz.scheduler._analyze_candidate`): only the
+feature sets travel to the parent, which merges them into the
+:class:`CoverageMap` in trial order. A feature reads only strings and
+bools off a span, so it is the same whether the span was shipped and
+decoded or not.
+
 Feature extraction is deliberately narrower than the trace vocabulary:
 
 * span durations never feed a feature (wall-clock is noise);

@@ -2,11 +2,15 @@
 
 A campaign runs in *rounds*. Each round draws a deployment conf, fills
 a batch with fresh candidates and mutations of coverage-promoted seeds,
-and fans the batch through the sharded :mod:`crosstest.executor` at
-whatever ``--jobs``/pool setting the caller picked. Trials come back in
-byte-identical order regardless of worker count, so everything layered
-on top — coverage promotion, fingerprint collection, dedup, shrinking —
-replays exactly for a fixed ``(seed, budget, baseline)``.
+and fans the batch through :mod:`crosstest.executor` at whatever
+``--jobs``/pool setting the caller picked, one task per candidate.
+Everything that depends on one candidate alone — its trials' coverage
+features, oracle failures, fingerprints and catalog matches — is
+computed in the worker that ran it (:func:`_analyze_candidate`), so its
+spans never travel. The parent merges those results in the
+(byte-identical) trial order regardless of worker count, so everything
+layered on top — coverage promotion, fingerprint collection, dedup,
+shrinking — replays exactly for a fixed ``(seed, budget, baseline)``.
 
 The budget is counted in *candidates generated*, not wall-clock: a time
 budget would make the campaign's output depend on machine speed and
@@ -36,6 +40,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import partial
 
 from repro.crosstest.classify import found_discrepancies
 from repro.crosstest.executor import (
@@ -49,6 +54,7 @@ from repro.crosstest.fingerprint import (
     conf_label,
     run_fingerprints,
 )
+from repro.crosstest.harness import Trial
 from repro.crosstest.oracles import all_failures
 from repro.crosstest.plans import ALL_PLANS, FORMATS
 from repro.crosstest.report import FuzzSection
@@ -72,6 +78,7 @@ __all__ = [
     "RoundOutcome",
     "run_round",
     "run_fuzz",
+    "trace_witness",
 ]
 
 from hashlib import blake2b
@@ -182,8 +189,6 @@ class FuzzResult:
     findings: dict[str, FuzzFinding] = field(default_factory=dict)
     #: catalog numbers rediscovered behaviourally by generated inputs
     rediscovered: tuple[int, ...] = ()
-    #: spans per input id, for per-finding trace export
-    spans_by_input: dict[int, list[Span]] = field(default_factory=dict)
 
     @property
     def novel_findings(self) -> list[FuzzFinding]:
@@ -535,9 +540,7 @@ class CampaignState:
             self.seed_pool[: self.corpus_len + earlier],
         )
 
-    def result(
-        self, spans_by_input: dict[int, list[Span]] | None = None
-    ) -> FuzzResult:
+    def result(self) -> FuzzResult:
         """The state's observations as a :class:`FuzzResult`."""
         return FuzzResult(
             config=self.config,
@@ -547,8 +550,62 @@ class CampaignState:
             coverage=self.coverage,
             findings=self.findings,
             rediscovered=tuple(sorted(self.rediscovered)),
-            spans_by_input=spans_by_input or {},
         )
+
+
+@dataclass(frozen=True)
+class CandidateAnalysis:
+    """What one candidate's trials tell its round, computed in the worker
+    that ran them."""
+
+    #: coverage features of each trial, in plan → format order
+    features: tuple[set[str], ...]
+    #: ``(key, fingerprint, failure count)`` per distinct fingerprint
+    hits: tuple[tuple[str, Fingerprint, int], ...]
+    #: catalog numbers the candidate's trials exhibit
+    discrepancies: frozenset[int]
+
+
+def _analyze_candidate(
+    label: str, trials: list[Trial], traces: list[tuple[Span, ...]]
+) -> CandidateAnalysis:
+    """Analyze one candidate's trials (every plan × format, in order)
+    and their raw spans, under the round's fingerprint ``label``.
+
+    The executor calls this in the worker (``execute(analyze=)``), so
+    it must pickle by reference. It reaches the coverage, oracle and
+    fingerprint functions through this module's names, so a profiler
+    that rebinds them here times the workers' calls too. Every result
+    is a function of this one input's trials: WR and EH judge one
+    trial, Diff and the fingerprints bucket by input id.
+    """
+    failures = all_failures(trials)
+    hits = run_fingerprints(trials, failures, label)
+    return CandidateAnalysis(
+        features=tuple(
+            trial_features(trial, spans)
+            for trial, spans in zip(trials, traces)
+        ),
+        hits=tuple(
+            (key, hit.fingerprint, len(hit.failures))
+            for key, hit in hits.items()
+        ),
+        discrepancies=frozenset(found_discrepancies(trials)),
+    )
+
+
+def _execution_conf(conf_overrides: dict[str, object]) -> dict[str, object]:
+    """The conf a round's trials run under: its drawn conf, plan cache off.
+
+    Cache hits skip analysis-time spans/events, and cache warmth
+    depends on worker history (even fork inheritance), which would make
+    the coverage map vary with --jobs. Outcome-neutral (cached and
+    uncached plans give byte-identical results), and excluded from the
+    fingerprint label.
+    """
+    exec_conf = dict(conf_overrides)
+    exec_conf["repro.plan.cache.enabled"] = "false"
+    return exec_conf
 
 
 def run_round(
@@ -558,7 +615,6 @@ def run_round(
     batch_size: int | None = None,
     metrics: CrossTestMetrics | None = None,
     pool_handle: WorkerPoolHandle | None = None,
-    spans_by_input: dict[int, list[Span]] | None = None,
 ) -> RoundOutcome:
     """Execute one campaign round and advance ``state`` past it.
 
@@ -566,10 +622,13 @@ def run_round(
     service's unit); :func:`run_fuzz` passes the budget remainder on the
     last round. ``pool_handle`` lets a long-running caller reuse one
     worker pool across rounds instead of paying pool teardown per
-    round. ``spans_by_input``, if given, accumulates every trial's
-    spans (the one-shot CLI wants them for trace export; the always-on
-    service must *not* accumulate unbounded span memory, so it passes
-    ``None``).
+    round.
+
+    Each candidate runs as one executor task whose worker analyzes it
+    (:func:`_analyze_candidate`); only outcome columns and those
+    results come home, never spans. This function then does only what
+    depends on order: the coverage merge, promotion and finding
+    bookkeeping. Use :func:`trace_witness` to see a finding's spans.
     """
     config = state.config
     if batch_size is None:
@@ -582,90 +641,79 @@ def run_round(
         FUZZ_ID_BASE + state.candidates,
         state.seed_pool,
     )
-    slots = {
-        test_input.input_id: slot for slot, test_input in enumerate(batch)
-    }
     conf_overrides = gen_conf(config.seed, round_index)
-    # fuzz batches always run with the plan cache off: cache hits
-    # skip analysis-time spans/events, and cache warmth depends on
-    # worker history (even fork inheritance), which would make the
-    # coverage map vary with --jobs. Outcome-neutral by the PR 2
-    # byte-identity guarantee; excluded from the fingerprint label.
-    exec_conf = dict(conf_overrides)
-    exec_conf["repro.plan.cache.enabled"] = "false"
-    trace_sink: dict[int, tuple[Span, ...]] = {}
+    analyses: dict[int, CandidateAnalysis] = {}
     trials = execute(
         config.plans,
         config.formats,
         batch,
-        exec_conf,
+        _execution_conf(conf_overrides),
         jobs=config.jobs,
         pool=config.pool,
         metrics=metrics,
-        trace_sink=trace_sink,
         pool_handle=pool_handle,
+        analyze=partial(_analyze_candidate, conf_label(conf_overrides)),
+        analysis_sink=analyses,
     )
     state.trials_run += len(trials)
 
-    # fuzz spans are tagged with their source so `trace summarize`
-    # can split them out of the §8 matrix totals
-    for spans in trace_sink.values():
-        for span in spans:
-            span.attributes["source"] = "fuzz"
-
-    # coverage promotion, in (byte-identical) trial order
+    # coverage promotion, in (byte-identical) trial order: for each
+    # plan, each format, each candidate by slot. First-seen credit
+    # decides promotion, so a candidate-major merge would differ.
     promoted: set[int] = set()
     new_features: set[str] = set()
-    for index, trial in enumerate(trials):
-        spans = trace_sink.get(index, ())
-        input_id = trial.test_input.input_id
-        if spans_by_input is not None:
-            spans_by_input.setdefault(input_id, []).extend(spans)
-        novel = state.coverage.observe(trial_features(trial, spans))
-        if novel:
-            promoted.add(input_id)
-            new_features.update(novel)
+    for cell in range(len(config.plans) * len(config.formats)):
+        for slot in range(batch_size):
+            novel = state.coverage.observe(analyses[slot].features[cell])
+            if novel:
+                promoted.add(slot)
+                new_features.update(novel)
     promoted_count = 0
-    for test_input in batch:
-        if test_input.input_id in promoted and (
-            test_input.input_id not in state.pool_ids
-        ):
+    for slot in sorted(promoted):
+        test_input = batch[slot]
+        if test_input.input_id not in state.pool_ids:
             state.seed_pool.append(test_input)
             state.pool_ids.add(test_input.input_id)
-            state.promoted.append(
-                (round_index, slots[test_input.input_id], test_input.input_id)
-            )
+            state.promoted.append((round_index, slot, test_input.input_id))
             promoted_count += 1
 
-    # fingerprints + dedup bookkeeping
-    label = conf_label(conf_overrides)
-    failures = all_failures(trials)
-    by_id = {test_input.input_id: test_input for test_input in batch}
-    hits = run_fingerprints(trials, failures, label)
+    # fingerprints + dedup bookkeeping. A key's failures all come from
+    # one (plan, fmt) cell or one Diff axis, in input-id (= slot) order,
+    # so its witness is the lowest slot that hit it; counts sum.
+    witnesses: dict[str, tuple[Fingerprint, int]] = {}
+    counts: dict[str, int] = {}
+    for slot in range(batch_size):
+        for key, fingerprint, count in analyses[slot].hits:
+            witnesses.setdefault(key, (fingerprint, slot))
+            counts[key] = counts.get(key, 0) + count
     new_keys: list[str] = []
-    for key, hit in hits.items():
+    for key in sorted(witnesses):
+        fingerprint, slot = witnesses[key]
+        count = counts[key]
         finding = state.findings.get(key)
         if finding is None:
+            witness = batch[slot]
             state.findings[key] = FuzzFinding(
-                fingerprint=hit.fingerprint,
-                witness=by_id[hit.witness_input_id],
+                fingerprint=fingerprint,
+                witness=witness,
                 conf_overrides=dict(conf_overrides),
                 round_index=round_index,
-                failure_count=len(hit.failures),
+                failure_count=count,
                 novel=key not in baseline,
             )
             state.witness_provenance[key] = (
                 round_index,
-                slots[hit.witness_input_id],
-                hit.witness_input_id,
+                slot,
+                witness.input_id,
             )
             new_keys.append(key)
         else:
-            finding.failure_count += len(hit.failures)
+            finding.failure_count += count
 
+    found = set().union(*(each.discrepancies for each in analyses.values()))
     fresh_numbers = sorted(
         number
-        for number in found_discrepancies(trials)
+        for number in found
         if number and number not in state.rediscovered
     )
     state.rediscovered.update(fresh_numbers)
@@ -675,18 +723,40 @@ def run_round(
         round_index=round_index,
         candidates=batch_size,
         trials=len(trials),
-        witnessed=tuple(sorted(hits)),
-        new_keys=tuple(sorted(new_keys)),
+        witnessed=tuple(sorted(witnesses)),
+        new_keys=tuple(new_keys),
         novel_keys=tuple(
-            sorted(
-                key for key in new_keys if state.findings[key].novel
-            )
+            key for key in new_keys if state.findings[key].novel
         ),
         promoted=promoted_count,
         rediscovered=tuple(fresh_numbers),
         coverage_features=len(state.coverage),
         new_features=tuple(sorted(new_features)),
     )
+
+
+def trace_witness(config: FuzzConfig, finding: FuzzFinding) -> list[Span]:
+    """Re-run a finding's witness traced, the way its round ran it.
+
+    Rounds keep no spans, so a trace export re-runs the (deterministic)
+    witness on demand: every plan × format, ``jobs=1``, under the
+    finding's conf with the plan cache off. Spans come back in trial
+    order (trace ids ``plan/fmt/input_id``), tagged ``source=fuzz`` so
+    ``trace summarize`` can split them out of the §8 matrix totals.
+    """
+    sink: dict[int, tuple[Span, ...]] = {}
+    execute(
+        config.plans,
+        config.formats,
+        [finding.witness],
+        _execution_conf(finding.conf_overrides),
+        jobs=1,
+        trace_sink=sink,
+    )
+    spans = [span for index in sorted(sink) for span in sink[index]]
+    for span in spans:
+        span.attributes["source"] = "fuzz"
+    return spans
 
 
 def run_fuzz(
@@ -702,11 +772,15 @@ def run_fuzz(
     so campaign telemetry lands in the ``crosstest.fuzz`` registry and
     never pollutes the §8 matrix counters. ``progress``, if given, is
     called per round as ``progress(round, rounds, trials_so_far)``.
+
+    The result holds no spans: rounds analyze them in the workers and
+    drop them, so memory does not grow with the budget.
+    :func:`trace_witness` re-runs a finding's witness when its trace is
+    wanted.
     """
     if metrics is None:
         metrics = CrossTestMetrics(source="fuzz")
     state = CampaignState.fresh(config)
-    spans_by_input: dict[int, list[Span]] = {}
     total_rounds = (config.budget + config.batch - 1) // config.batch
     pool_handle = (
         WorkerPoolHandle(config.jobs, config.pool)
@@ -723,7 +797,6 @@ def run_fuzz(
                 ),
                 metrics=metrics,
                 pool_handle=pool_handle,
-                spans_by_input=spans_by_input,
             )
             if progress is not None:
                 progress(state.round_index, total_rounds, state.trials_run)
@@ -731,7 +804,7 @@ def run_fuzz(
         if pool_handle is not None:
             pool_handle.close()
 
-    result = state.result(spans_by_input)
+    result = state.result()
     if config.shrink:
         for finding in result.novel_findings:
             finding.shrunk = shrink_input(

@@ -17,7 +17,8 @@ from repro.fuzz import (
     default_baseline_path,
     run_fuzz,
 )
-from repro.fuzz.scheduler import CrossTestMetrics
+from repro.fuzz import scheduler
+from repro.fuzz.scheduler import CrossTestMetrics, trace_witness
 
 
 def _records_bytes(result):
@@ -66,7 +67,16 @@ def test_budget_counts_candidates_and_caps_rounds():
     assert result.trials_run > result.candidates
 
 
-def test_executed_input_ids_stay_above_fuzz_id_base():
+def test_executed_input_ids_stay_above_fuzz_id_base(monkeypatch):
+    executed = []
+    real_execute = scheduler.execute
+
+    def recording_execute(plans, formats, inputs, *args, **kwargs):
+        inputs = list(inputs)
+        executed.extend(inputs)
+        return real_execute(plans, formats, inputs, *args, **kwargs)
+
+    monkeypatch.setattr(scheduler, "execute", recording_execute)
     config = FuzzConfig(
         seed=3, budget=16, batch=8, jobs=1, use_corpus=True, shrink=False
     )
@@ -74,8 +84,9 @@ def test_executed_input_ids_stay_above_fuzz_id_base():
     # corpus inputs (ids 0..421) seed mutations but are never executed
     for finding in result.findings.values():
         assert finding.witness.input_id >= FUZZ_ID_BASE
-    for input_id in result.spans_by_input:
-        assert input_id >= FUZZ_ID_BASE
+    assert len(executed) == result.candidates
+    for test_input in executed:
+        assert test_input.input_id >= FUZZ_ID_BASE
 
 
 def test_metrics_land_in_their_own_fuzz_registry():
@@ -93,11 +104,8 @@ def test_metrics_land_in_their_own_fuzz_registry():
 
 def test_spans_are_tagged_with_fuzz_source():
     result = _campaign(jobs=1, budget=8, batch=8)
-    spans = [
-        span
-        for spans in result.spans_by_input.values()
-        for span in spans
-    ]
+    finding = result.findings[min(result.findings)]
+    spans = trace_witness(result.config, finding)
     assert spans
     assert all(span.attributes.get("source") == "fuzz" for span in spans)
 
