@@ -28,16 +28,16 @@ test:
 bench:
 	$(PYTHON) -m pytest -q benchmarks
 
-# same-runner regression gate on perfbench's matrix and campaign
-# workloads: for each, BASE (default: the merge base with origin/main)
-# runs 3 times in a throwaway git worktree, then this tree (uncommitted
-# edits included) runs once, graded against only those 3 runs. Both
-# sides use this tree's perfbench/ and BENCHMARK.json, so one benchmark
-# measures both programs. perfbench exits 0 even on a REGRESSED or FAIL
-# verdict, so the target reads the verdict lines of the two reports
-# (left one after the other in bench-gate.md) and fails unless both
-# say PASS. The developer's own .perfbench/history.jsonl is never read
-# or written.
+# same-runner regression gate on perfbench's matrix, campaign and
+# chaos-smoke workloads: for each, BASE (default: the merge base with
+# origin/main) runs 3 times in a throwaway git worktree, then this tree
+# (uncommitted edits included) runs once, graded against only those 3
+# runs. Both sides use this tree's perfbench/ and BENCHMARK.json, so one
+# benchmark measures both programs. perfbench exits 0 even on a
+# REGRESSED or FAIL verdict, so the target reads the verdict lines of
+# the three reports (left one after the other in bench-gate.md) and
+# fails unless all three say PASS. The developer's own
+# .perfbench/history.jsonl is never read or written.
 BASE ?= $(shell git merge-base HEAD origin/main 2>/dev/null)
 bench-gate:
 	@set -e; gate=.perfbench/gate; \
@@ -51,7 +51,7 @@ bench-gate:
 	rm -rf $$gate/base/perfbench; \
 	cp -R perfbench BENCHMARK.json $$gate/base/; \
 	cp -R src perfbench BENCHMARK.json $$gate/head/; \
-	for workload in matrix campaign; do \
+	for workload in matrix campaign chaos-smoke; do \
 		run="$(PYTHON) perfbench/run.py --workload $$workload --seed 1 \
 			--seconds 10 --trace 0"; \
 		for i in 1 2 3; do \
@@ -66,7 +66,7 @@ bench-gate:
 		cat $$gate/head.md >> bench-gate.md; echo >> bench-gate.md; \
 	done; \
 	passed=$$(grep -c '^> \*\*VERDICT\*\*: PASS' bench-gate.md || true); \
-	test "$$passed" -eq 2
+	test "$$passed" -eq 3
 
 # the benchmark's own tests (perfbench/, outside tier-1's testpaths):
 # result schema, a split that adds up, and the default path (lanes,

@@ -101,13 +101,15 @@ def test_bench_crosstest_parallel_full_matrix(benchmark):
 
 def test_bench_crosstest_shard_dispatch_overhead(benchmark):
     """Sharding itself must be ~free next to the trials it schedules."""
-    from repro.crosstest.executor import build_shards
+    from repro.crosstest.executor import DEFAULT_SHARD_INPUTS, build_shards
     from repro.crosstest.plans import ALL_PLANS, FORMATS
     from repro.crosstest.values import generate_inputs
 
     inputs = generate_inputs()
     shards = benchmark(build_shards, ALL_PLANS, FORMATS, inputs)
     print(f"\n  shards for full matrix: {len(shards)}")
-    assert sum(len(s.inputs) for s in shards) == 8 * 3 * 422
+    assert sum(len(s) for s in shards) == 8 * 3 * 422
+    # every input in exactly one shard, every shard under all 24 cells
+    assert sorted(p for s in shards for p in s.positions) == list(range(422))
     # shards stay balanced: no shard more than the configured chunk size
-    assert max(len(s.inputs) for s in shards) <= 128
+    assert max(len(s.inputs) for s in shards) <= DEFAULT_SHARD_INPUTS

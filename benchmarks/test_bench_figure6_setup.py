@@ -4,7 +4,9 @@ Paper: three interfaces, eight write-read plans in three groups, three
 backend formats, 422 generated inputs (210 valid + 212 invalid).
 """
 
-from repro.crosstest.executor import build_shards
+from itertools import product
+
+from repro.crosstest.executor import DEFAULT_SHARD_INPUTS, build_shards
 from repro.crosstest.plans import (
     ALL_PLANS,
     FORMATS,
@@ -59,26 +61,37 @@ def test_bench_figure6_plan_matrix(benchmark):
 
 
 def test_bench_figure6_shard_plan(benchmark):
-    """The executor's shard layout covers the matrix exactly once,
-    in the same plan -> format -> input order the sequential loop uses."""
+    """The executor's shard layout covers the matrix exactly once: put
+    back at their run indices, the shards' trials make the same
+    plan -> format -> input order the sequential loop uses."""
     inputs = generate_inputs()
     shards = benchmark(build_shards, ALL_PLANS, FORMATS, inputs)
 
-    cells = {(s.plan.name, s.fmt) for s in shards}
+    cells = {cell for s in shards for cell in s.cells}
     print("\nshard layout for the full matrix")
     print(f"  shards:        {len(shards)}")
-    print(f"  (plan, fmt) cells: {len(cells)}")
+    print(f"  (plan, fmt) cells per shard: {len(cells)}")
     print(f"  largest shard: {max(len(s.inputs) for s in shards)} inputs")
 
     assert len(cells) == 8 * 3
+    assert all(len(s.cells) == 8 * 3 for s in shards)
     assert [s.index for s in shards] == list(range(len(shards)))
-    flattened = [
-        (s.plan.name, s.fmt, i.input_id) for s in shards for i in s.inputs
-    ]
+    # a shard is one lane group: inputs of one column type
+    assert all(len({i.type_text for i in s.inputs}) == 1 for s in shards)
+    assert max(len(s.inputs) for s in shards) <= DEFAULT_SHARD_INPUTS
+    slots = {}
+    for s in shards:
+        keys = [
+            (plan.name, fmt, i.input_id)
+            for (plan, fmt), i in product(s.cells, s.inputs)
+        ]
+        for index, key in zip(s.trial_indices(len(inputs)), keys):
+            assert index not in slots, "a trial landed twice"
+            slots[index] = key
     expected = [
         (plan.name, fmt, i.input_id)
         for plan in ALL_PLANS
         for fmt in FORMATS
         for i in inputs
     ]
-    assert flattened == expected
+    assert [slots[index] for index in range(len(expected))] == expected

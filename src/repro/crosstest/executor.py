@@ -1,27 +1,28 @@
 """Shardable, parallel execution engine for the §8 trial matrix.
 
-The cross-test hot path is 10,128 independent trials. This module
-splits the matrix into deterministic shards — contiguous runs of inputs
-for one ``(plan, fmt)`` cell — and executes them either inline
-(``jobs=1``, today's exact sequential semantics) or on a
-``concurrent.futures`` pool (threads or processes, auto-sized).
+The cross-test hot path is 10,128 independent trials. This module cuts
+the matrix *by input*: a shard is one lane group under every plan ×
+format (:func:`build_shards`). Shards run either inline (``jobs=1``,
+the sequential semantics) or on a ``concurrent.futures`` pool (threads
+or processes, auto-sized).
 
 Every trial runs through one lane runner (:func:`_run_lane`). A *lane*
-is a set of same-type inputs from one shard that share one deployment
-lease, one ``CREATE TABLE`` and one ``SELECT *``; a *lane of one* is
-the isolated trial, and is what traced and fault-injected runs use, so
-each of their trials keeps its own tracer and fault injector.
+is a shard's inputs under one ``(plan, fmt)`` cell, sharing one
+deployment lease, one ``CREATE TABLE`` and one ``SELECT *``; a *lane of
+one* is the isolated trial, and is what traced and fault-injected runs
+use, so each of their trials keeps its own tracer and fault injector.
 
-A caller whose per-input work needs every trial of one input (the fuzz
-campaign's coverage features and oracles) runs *input tasks* instead
-(:class:`InputTask`): one input under every plan × format, traced, in
-one worker, which analyzes its trials before anything ships home.
+Because a shard holds every trial of its inputs, per-input work runs in
+the worker that ran the trials: given ``analyze``, :func:`run_shard`
+calls it once per input on that input's trials (the §8 oracles and
+classification for a matrix pass, coverage features and fingerprints
+for a fuzz round), and only its result ships home.
 
 Two invariants hold regardless of scheduling:
 
-* **Byte-identical results.** Shards are indexed in the same
-  plan → format → input order the sequential loop uses (input tasks in
-  input order) and reassembled by index into that order, so the
+* **Byte-identical results.** Each shard knows its inputs' positions in
+  the run, and the parent puts every trial back at its place in the
+  plan → format → input order the sequential loop uses, so the
   returned ``Trial`` list is identical no matter how many workers ran
   or in which order they finished.
 * **Deployment isolation.** Each lane starts on a pristine deployment.
@@ -48,6 +49,7 @@ from concurrent.futures import (
     wait,
 )
 from dataclasses import dataclass, field
+from itertools import product
 from typing import Callable, TypeVar
 
 from repro.crosstest.harness import (
@@ -73,14 +75,12 @@ from repro.tracing.export import decode_span_batches, encode_span_batches
 
 __all__ = [
     "Shard",
-    "InputTask",
     "ShardResult",
     "DeploymentPool",
     "CrossTestMetrics",
     "WorkerPoolHandle",
     "build_shards",
     "run_shard",
-    "run_input",
     "worker_pool",
     "corpus_texts",
     "prewarm_worker",
@@ -92,46 +92,50 @@ __all__ = [
 
 T = TypeVar("T")
 
-#: Inputs per shard: small enough that 8 plans x 3 formats x 422 inputs
-#: splits into ~96 shards (good load balance up to 16+ workers), large
-#: enough that per-shard dispatch overhead stays negligible.
-DEFAULT_SHARD_INPUTS = 128
+#: Most inputs in one shard. A shard is one column type's inputs (a
+#: lane group) under all 8 plans x 3 formats, so the curated corpus's 33
+#: types, the largest holding 70 inputs, cut into 45 shards of 1 to 24
+#: inputs: one lane of up to 24 trials per cell, and each worker
+#: compiles only the plans of the types it runs.
+DEFAULT_SHARD_INPUTS = 24
 
 
 @dataclass(frozen=True)
 class Shard:
-    """A contiguous unit of work: some inputs for one (plan, fmt) cell."""
+    """One lane group under every (plan, fmt) cell: a unit of work.
+
+    With shared lanes the inputs are up to :data:`DEFAULT_SHARD_INPUTS`
+    inputs of one column type, and each cell runs them as one lane;
+    when every lane is a lane of one (traced, fault-injected or
+    unbatched runs) the shard is a single input. Either way the shard
+    holds every trial of its inputs, in cell-major order: for each
+    cell, the inputs in run order.
+    """
 
     index: int
-    plan: Plan
-    fmt: str
-    inputs: tuple[TestInput, ...]
-
-    def __len__(self) -> int:
-        return len(self.inputs)
-
-
-@dataclass(frozen=True)
-class InputTask:
-    """One input under every (plan, fmt) cell: an input-major unit."""
-
-    #: the input's position in the run's input list
-    index: int
-    #: ``(plan, fmt)`` in plan → format order
+    #: ``(plan, fmt)`` in plan → format order, the same for every shard
     cells: tuple[tuple[Plan, str], ...]
-    test_input: TestInput
+    inputs: tuple[TestInput, ...]
+    #: each input's position in the run's input list
+    positions: tuple[int, ...]
 
     def __len__(self) -> int:
-        return len(self.cells)
+        return len(self.cells) * len(self.inputs)
+
+    def trial_indices(self, run_inputs: int) -> list[int]:
+        """Where each of this shard's trials sits in the run's
+        plan → format → input order, for a run of ``run_inputs``."""
+        return [
+            cell * run_inputs + position
+            for cell in range(len(self.cells))
+            for position in self.positions
+        ]
 
 
-#: a unit of work :func:`execute` dispatches
-Task = Shard | InputTask
-
-#: what an input task's worker runs over the input's trials and spans
-#: (trials and per-trial spans in cell order); it must pickle by
-#: reference, and so must its return value
-Analyze = Callable[[list[Trial], list[tuple[Span, ...]]], object]
+#: what a worker runs over one input's trials (in cell order) and their
+#: spans (per trial, or ``None`` when the run is untraced); it must
+#: pickle by reference, and so must its return value
+Analyze = Callable[[list[Trial], list[tuple[Span, ...]] | None], object]
 
 
 #: ``Outcome`` fields in declaration order — the columnar wire schema a
@@ -151,43 +155,41 @@ _OUTCOME_FIELDS = (
 
 @dataclass
 class ShardResult:
-    """What one shard or input task produced, in wire form.
+    """What one shard produced, in wire form.
 
     A worker never echoes its inputs back: the parent already holds the
-    task's plans, formats and ``TestInput`` sequence, so only the
+    shard's cells and ``TestInput`` sequence, so only the
     *observations* ship —
 
     * ``outcome_columns``: one tuple per :class:`Outcome` field (in
       ``_OUTCOME_FIELDS`` order), each holding that field for every
-      trial in task order. Columnar instead of per-trial dataclass
+      trial in shard order. Columnar instead of per-trial dataclass
       tuples, so nothing re-pickles ``Plan``/``TestInput`` objects (and
       their cached parsed types) on the way home.
-    * ``durations``: per-trial wall-clock, task order.
-    * ``cache_counts``: the *deltas* this task contributed to the
+    * ``durations``: per-trial wall-clock, shard order.
+    * ``cache_counts``: the *deltas* this shard contributed to the
       engines' plan-cache counters (and deployment provisioning
       counts) — deltas rather than totals so results aggregate
       correctly when worker processes keep long-lived pools across
-      tasks.
-    * ``spans_blob``: only when a shard ran with tracing — every
+      shards.
+    * ``spans_blob``: only when a traced shard ships its spans — every
       trial's finished spans encoded once per shard via
       :func:`~repro.tracing.export.encode_span_batches`.
     * ``injections_blob``: only when a shard ran under a fault plan —
       per-trial :class:`InjectionRecord` tuples encoded the same way.
     * ``stage_durations``: wall-clock samples per harness stage
       (``create``/``write``/``read``/``reset``), aggregated across the
-      task — the raw feed for the per-stage latency histograms. Not
+      shard — the raw feed for the per-stage latency histograms. Not
       per-trial: a lane's create covers many trials at once.
-    * ``analysis``: only for an input task — what its ``analyze``
-      callable returned in the worker (see :func:`run_input`).
+    * ``analyses``: only when the shard ran with ``analyze`` — what it
+      returned for each input, in shard order (see :func:`run_shard`).
 
     :meth:`pack` builds the wire form inside the worker and
     :meth:`to_trials` / :meth:`span_batches` / :meth:`injection_batches`
-    rebuild the rich objects parent-side. A traced shard's span
-    encode/decode round trip runs at *every* ``jobs`` setting
-    (including inline ``jobs=1``), so exported spans and report bytes
-    cannot depend on ``--jobs``. An input task's spans never leave its
-    worker: the analysis reads them raw, and what it reads of them
-    (strings and bools) is what the round trip would have kept anyway.
+    rebuild the rich objects parent-side. A shipped span blob makes the
+    encode/decode round trip at *every* ``jobs`` setting (including
+    inline ``jobs=1``), so exported spans and report bytes cannot depend
+    on ``--jobs``. ``analyze`` reads the raw spans, before any encoding.
     """
 
     index: int
@@ -197,12 +199,12 @@ class ShardResult:
     spans_blob: bytes | None = None
     injections_blob: bytes | None = None
     stage_durations: dict[str, list[float]] = field(default_factory=dict)
-    analysis: object = None
+    analyses: tuple = ()
 
     @classmethod
     def pack(
         cls,
-        shard: Task,
+        shard: Shard,
         outcomes: list[Outcome],
         durations: list[float],
         cache_counts: dict[str, int],
@@ -210,7 +212,7 @@ class ShardResult:
         injections: list[tuple[InjectionRecord, ...]] | None,
         stage_times: list[tuple[str, float]] | None = None,
     ) -> "ShardResult":
-        """Encode one executed task into its wire form (worker side)."""
+        """Encode one executed shard into its wire form (worker side)."""
         stage_durations: dict[str, list[float]] = {}
         for stage, seconds in stage_times or ():
             stage_durations.setdefault(stage, []).append(seconds)
@@ -233,19 +235,12 @@ class ShardResult:
             stage_durations=stage_durations,
         )
 
-    def to_trials(self, shard: Task) -> list[Trial]:
-        """Rebuild the task's trials against the parent-side inputs."""
-        if isinstance(shard, InputTask):
-            return [
-                Trial(plan, fmt, shard.test_input, Outcome(*fields))
-                for (plan, fmt), *fields in zip(
-                    shard.cells, *self.outcome_columns
-                )
-            ]
+    def to_trials(self, shard: Shard) -> list[Trial]:
+        """Rebuild the shard's trials against the parent-side inputs."""
         return [
-            Trial(shard.plan, shard.fmt, test_input, Outcome(*fields))
-            for test_input, *fields in zip(
-                shard.inputs, *self.outcome_columns
+            Trial(plan, fmt, test_input, Outcome(*fields))
+            for ((plan, fmt), test_input), *fields in zip(
+                product(shard.cells, shard.inputs), *self.outcome_columns
             )
         ]
 
@@ -267,31 +262,45 @@ def build_shards(
     formats,
     inputs,
     shard_inputs: int = DEFAULT_SHARD_INPUTS,
+    *,
+    lanes: bool = True,
 ) -> list[Shard]:
-    """Split the matrix into deterministically ordered shards.
+    """Cut the matrix by input into deterministically ordered shards.
 
-    Concatenating shard trials in ``index`` order reproduces exactly the
-    sequential plan → format → input nesting of the original loop.
+    Every shard covers every plan × format. With ``lanes`` (shared
+    lanes), a shard is up to ``shard_inputs`` inputs of one column type,
+    the types in first-seen order, a larger type cut into several
+    shards; without, every input is a shard of its own. Each
+    ``(plan, fmt, input)`` lands in exactly one shard, and the list
+    depends only on the arguments, never on ``jobs`` or the pool.
 
-    An empty input list yields an empty shard list — a zero-trial matrix
-    has no work, so it must not fan empty shards out to a pool.
+    A matrix with no plans, formats or inputs yields an empty shard
+    list — a zero-trial matrix has no work, so it must not fan empty
+    shards out to a pool.
     """
     if shard_inputs < 1:
         raise ValueError(f"shard_inputs must be >= 1, got {shard_inputs}")
-    inputs = list(inputs)
-    shards: list[Shard] = []
-    for plan in plans:
-        for fmt in formats:
-            for start in range(0, len(inputs), shard_inputs):
-                shards.append(
-                    Shard(
-                        index=len(shards),
-                        plan=plan,
-                        fmt=fmt,
-                        inputs=tuple(inputs[start : start + shard_inputs]),
-                    )
-                )
-    return shards
+    inputs = tuple(inputs)
+    cells = tuple((plan, fmt) for plan in plans for fmt in formats)
+    if not cells:
+        return []
+    if lanes:
+        groups = [
+            positions[start : start + shard_inputs]
+            for positions in _lane_groups(inputs)
+            for start in range(0, len(positions), shard_inputs)
+        ]
+    else:
+        groups = [[position] for position in range(len(inputs))]
+    return [
+        Shard(
+            index=index,
+            cells=cells,
+            inputs=tuple(inputs[position] for position in positions),
+            positions=tuple(positions),
+        )
+        for index, positions in enumerate(groups)
+    ]
 
 
 class DeploymentPool:
@@ -527,12 +536,11 @@ def _leased(
 
 
 def _lane_groups(inputs: tuple[TestInput, ...]) -> list[list[int]]:
-    """Group shard positions into same-type lanes, first-seen order.
+    """Group input positions by column type, first-seen order.
 
     Every input in a lane shares a ``type_text``, so one ``CREATE
-    TABLE`` serves the whole lane. Positions within a lane stay in
-    shard order; lanes need not be contiguous — demultiplexing is
-    positional.
+    TABLE`` serves the whole lane. Positions within a group stay in
+    input order; groups need not be contiguous.
     """
     groups: dict[str, list[int]] = {}
     for position, test_input in enumerate(inputs):
@@ -646,24 +654,25 @@ def run_shard(
     tracing: bool = False,
     fault_plan: FaultPlan | None = None,
     fault_seed: int = 0,
-    batch: bool = False,
+    analyze: Analyze | None = None,
+    ship_spans: bool = True,
 ) -> ShardResult:
-    """Execute one shard as lanes on this worker's deployment pool.
+    """Execute one shard, one lane per cell, and analyze it where it ran.
 
     Deployments come from the worker-global pool for these conf
-    overrides. With ``batch``, same-type inputs share a lane (one
-    create, batched writes, one scan — see :func:`_run_lane`); without
-    it, and always while tracing or injecting faults, every input is a
+    overrides. Each ``(plan, fmt)`` cell runs the shard's inputs as one
+    lane (see :func:`_run_lane`): a same-type lane group shares one
+    create, batched writes and one scan, and a one-input shard is a
     lane of one. Per-trial durations are each lane's wall-clock split
-    evenly across its trials — the plan/format histograms keep
-    covering every trial, they just report amortized cost, which is
-    the honest number under batching.
+    evenly across its trials — the plan/format histograms keep covering
+    every trial, they just report amortized cost, which is the honest
+    number under batching.
 
     With ``tracing``, each trial runs under its own
-    :class:`~repro.tracing.Tracer` (trace id ``plan/fmt/input_id``) and
-    the finished spans ride back on ``ShardResult.spans_blob`` —
-    activation happens here, inside the worker, so tracing survives
-    thread and process pools alike.
+    :class:`~repro.tracing.Tracer` (trace id ``plan/fmt/input_id``);
+    with ``ship_spans`` the finished spans ride back on
+    ``ShardResult.spans_blob``. Activation happens here, inside the
+    worker, so tracing survives thread and process pools alike.
 
     With a non-empty ``fault_plan``, each trial likewise runs under its
     own :class:`~repro.faults.FaultInjector` keyed by the same stable
@@ -673,103 +682,70 @@ def run_shard(
 
     Traced runs promise one span tree per trial, and fault schedules
     key on per-trial boundary visit counts; a shared lane would change
-    both, so those runs keep lanes of one and reports stay
-    byte-identical with ``batch`` on or off.
+    both, so a traced or fault-injected shard must hold one input
+    (:func:`build_shards` cuts them that way).
+
+    With ``analyze``, the worker then calls ``analyze(trials, spans)``
+    once per input, on that input's trials in plan → format order and
+    their raw spans (``None`` when untraced), and the results ride home
+    on ``ShardResult.analyses``.
     """
-    pool = worker_pool(conf_overrides)
     injecting = fault_plan is not None and not fault_plan.empty
-    total = len(shard.inputs)
+    width = len(shard.inputs)
+    if (tracing or injecting) and width != 1:
+        raise ValueError(
+            f"a traced or fault-injected shard holds one input, got {width}"
+        )
+    pool = worker_pool(conf_overrides)
     counts = _new_counts(injecting)
     stage_times: list[tuple[str, float]] = []
-    outcomes: list[Outcome | None] = [None] * total
-    durations: list[float] = [0.0] * total
-    traces: list[tuple[Span, ...]] | None = [()] * total if tracing else None
+    outcomes: list[Outcome] = []
+    durations: list[float] = []
+    traces: list[tuple[Span, ...]] | None = [] if tracing else None
     injections: list[tuple[InjectionRecord, ...]] | None = (
-        [()] * total if injecting else None
+        [] if injecting else None
     )
-    if batch and not tracing and not injecting:
-        groups = _lane_groups(shard.inputs)
-    else:
-        groups = [[position] for position in range(total)]
-    for positions in groups:
-        lane_inputs = tuple(shard.inputs[p] for p in positions)
+    for plan, fmt in shard.cells:
         tracer: Tracer | None = None
         injector: FaultInjector | None = None
         if tracing or injecting:
-            # every lane is a lane of one here
-            test_input = lane_inputs[0]
-            trial_key = f"{shard.plan.name}/{shard.fmt}/{test_input.input_id}"
+            trial_key = f"{plan.name}/{fmt}/{shard.inputs[0].input_id}"
             if tracing:
                 tracer = Tracer(trace_id=trial_key)
             if injecting and fault_plan is not None:
                 injector = FaultInjector(fault_plan, fault_seed, trial_key)
         started = time.perf_counter()
-        lane_outcomes = _run_lane(
-            pool, shard.plan, shard.fmt, lane_inputs, counts, stage_times,
-            tracer=tracer, injector=injector,
+        outcomes.extend(
+            _run_lane(
+                pool, plan, fmt, shard.inputs, counts, stage_times,
+                tracer=tracer, injector=injector,
+            )
         )
-        share = (time.perf_counter() - started) / len(positions)
-        for position, outcome in zip(positions, lane_outcomes):
-            outcomes[position] = outcome
-            durations[position] = share
+        durations.extend([(time.perf_counter() - started) / width] * width)
         if traces is not None and tracer is not None:
-            traces[positions[0]] = tuple(tracer.finished)
+            traces.append(tuple(tracer.finished))
         if injections is not None and injector is not None:
-            injections[positions[0]] = tuple(injector.records)
-    return ShardResult.pack(
+            injections.append(tuple(injector.records))
+    result = ShardResult.pack(
         shard,
-        outcomes,  # type: ignore[arg-type]
+        outcomes,
         durations,
         counts,
-        traces,
+        traces if ship_spans else None,
         injections,
         stage_times=stage_times,
     )
-
-
-def run_input(
-    task: InputTask,
-    conf_overrides: dict[str, object] | None,
-    analyze: Analyze,
-) -> ShardResult:
-    """Execute one input task and analyze it where it ran.
-
-    Every cell runs the input as a lane of one under its own
-    :class:`~repro.tracing.Tracer` (trace id ``plan/fmt/input_id``), on
-    this worker's pool for these conf overrides — the traced shape
-    :func:`run_shard` gives a traced shard. Then ``analyze(trials,
-    spans)`` runs here, in the worker, on the trials and their raw
-    spans in cell order, and its return rides home on
-    :attr:`ShardResult.analysis` next to the outcome columns. The spans
-    themselves are never encoded or shipped.
-    """
-    pool = worker_pool(conf_overrides)
-    counts = _new_counts()
-    stage_times: list[tuple[str, float]] = []
-    test_input = task.test_input
-    trials: list[Trial] = []
-    durations: list[float] = []
-    traces: list[tuple[Span, ...]] = []
-    for plan, fmt in task.cells:
-        tracer = Tracer(trace_id=f"{plan.name}/{fmt}/{test_input.input_id}")
-        started = time.perf_counter()
-        [outcome] = _run_lane(
-            pool, plan, fmt, (test_input,), counts, stage_times,
-            tracer=tracer,
+    if analyze is not None:
+        trials = [
+            Trial(plan, fmt, test_input, outcome)
+            for ((plan, fmt), test_input), outcome in zip(
+                product(shard.cells, shard.inputs), outcomes
+            )
+        ]
+        result.analyses = tuple(
+            analyze(trials[column::width], traces)
+            for column in range(width)
         )
-        durations.append(time.perf_counter() - started)
-        trials.append(Trial(plan, fmt, test_input, outcome))
-        traces.append(tuple(tracer.finished))
-    result = ShardResult.pack(
-        task,
-        [trial.outcome for trial in trials],
-        durations,
-        counts,
-        None,
-        None,
-        stage_times=stage_times,
-    )
-    result.analysis = analyze(trials, traces)
     return result
 
 
@@ -851,9 +827,8 @@ class CrossTestMetrics:
         )
 
     def record_shard(self, result: ShardResult, trials: list[Trial]) -> None:
-        """Fold one shard or input task in; ``trials`` is
-        ``result.to_trials(task)``, passed in because the caller already
-        rebuilt them."""
+        """Fold one shard in; ``trials`` is ``result.to_trials(shard)``,
+        passed in because the caller already rebuilt them."""
         plan = fmt = None
         for trial, duration in zip(trials, result.durations):
             self.trials_total.increment()
@@ -861,7 +836,7 @@ class CrossTestMetrics:
                 self.trials_ok.increment()
             elif trial.outcome.stage in self.stage_errors:
                 self.stage_errors[trial.outcome.stage].increment()
-            # a shard's trials share one cell, an input task's do not
+            # a shard's trials walk its cells in order
             if trial.plan is not plan:
                 plan = trial.plan
                 plan_hist = self._latency("plan", plan.name)
@@ -1058,7 +1033,6 @@ def execute(
     *,
     jobs: int | None = 1,
     pool: str = "auto",
-    shard_inputs: int = DEFAULT_SHARD_INPUTS,
     metrics: CrossTestMetrics | None = None,
     progress=None,
     trace_sink: dict[int, tuple[Span, ...]] | None = None,
@@ -1070,43 +1044,45 @@ def execute(
     pool_handle: "WorkerPoolHandle | None" = None,
     analyze: Analyze | None = None,
     analysis_sink: dict[int, object] | None = None,
+    traced: bool = False,
 ) -> list[Trial]:
     """Run the full matrix and return trials in sequential order.
 
-    Every shard runs through the one lane runner (see
-    :func:`run_shard`). ``batch`` (the default) lets same-type trials
-    within a shard share a lane — one create, batched writes, one
-    scan. On in-lane ambiguity a lane retries once with single-row
-    writes, then falls back to lanes of one (isolated trials).
-    Traced or fault-injected runs always use lanes of one; reports
-    are byte-identical either way.
+    The matrix is cut by input (:func:`build_shards`) and every shard
+    runs through :func:`run_shard`. ``batch`` (the default) lets a
+    shard's same-type inputs share one lane per cell — one create,
+    batched writes, one scan. On in-lane ambiguity a lane retries once
+    with single-row writes, then falls back to lanes of one (isolated
+    trials). Traced or fault-injected runs always use lanes of one,
+    one input per shard; reports are byte-identical either way.
 
-    ``progress``, if given, is called after every task completes as
-    ``progress(done_tasks, total_tasks, done_trials, total_trials)``.
+    ``progress``, if given, is called after every shard completes as
+    ``progress(done_shards, total_shards, done_trials, total_trials)``.
 
     ``trace_sink``, if given, switches per-trial tracing on and is
     filled with ``{global trial index: finished spans}`` — the index
     matches the position of the trial in the returned list, at every
-    ``jobs``/``pool`` setting.
+    ``jobs``/``pool`` setting. Spans travel home only into it.
 
     ``fault_plan``/``fault_seed`` switch deterministic fault injection
     on (an empty plan is equivalent to no plan at all);
     ``injection_sink`` is filled like ``trace_sink``, with
     ``{global trial index: fired injection records}``.
 
-    ``analyze``, if given, dispatches one :class:`InputTask` per input
-    instead of shards: each input's trials under every plan × format
-    run traced, as lanes of one, in one worker, which calls ``analyze``
-    on them (see :func:`run_input`). ``analysis_sink`` is filled with
-    ``{input position: what analyze returned}``. No span leaves the
-    worker, so this cannot be combined with ``trace_sink`` or faults.
-    The returned trials keep the plan → format → input order.
+    ``analyze``, if given, runs in the worker once per input, on that
+    input's trials under every plan × format (see :func:`run_shard`);
+    ``analysis_sink`` is filled with ``{input position: what analyze
+    returned}``. Per-input analysis needs unique input ids, so a
+    repeated id raises ``ValueError``. ``traced`` traces every trial in
+    its worker even without a ``trace_sink``: ``analyze`` sees the
+    spans, and nothing ships them home (how fuzz rounds collect
+    coverage).
 
     ``prewarm`` (process pools only) installs :func:`prewarm_worker`
     as the pool initializer so fresh workers start on warm parse and
-    plan caches instead of paying cold-start on their first task.
+    plan caches instead of paying cold-start on their first shard.
 
-    ``pool_handle``, if given (and ``jobs > 1``), submits tasks to the
+    ``pool_handle``, if given (and ``jobs > 1``), submits shards to the
     caller's persistent :class:`WorkerPoolHandle` instead of building
     and tearing down a pool inside this call — the repeated-submission
     path the fuzz scheduler and the always-on campaign service use.
@@ -1114,82 +1090,76 @@ def execute(
     initializer at construction).
 
     A zero-trial matrix (no plans, no formats, or no inputs) returns
-    immediately — no tasks, no pool, no progress callbacks.
+    immediately — no shards, no pool, no progress callbacks.
     """
     jobs = resolve_jobs(jobs)
     inputs = list(inputs)
-    tracing = trace_sink is not None
+    if analyze is not None:
+        _check_unique_ids(inputs)
+    tracing = traced or trace_sink is not None
     if fault_plan is not None and fault_plan.empty:
         fault_plan = None
-    tasks: list[Task]
-    if analyze is None:
-        tasks = build_shards(plans, formats, inputs, shard_inputs=shard_inputs)
-        work, args = run_shard, (
-            conf_overrides, tracing, fault_plan, fault_seed, batch,
-        )
-    elif tracing or fault_plan is not None or injection_sink is not None:
-        raise ValueError("analyze runs without a trace sink or faults")
-    else:
-        cells = tuple((plan, fmt) for plan in plans for fmt in formats)
-        tasks = [
-            InputTask(index, cells, test_input)
-            for index, test_input in enumerate(inputs)
-        ] if cells else []
-        work, args = run_input, (conf_overrides, analyze)
-    if not tasks:
+    # the shard cap is read here, at call time, so tests can shrink it
+    shards = build_shards(
+        plans,
+        formats,
+        inputs,
+        DEFAULT_SHARD_INPUTS,
+        lanes=batch and not tracing and fault_plan is None,
+    )
+    if not shards:
         return []
-    offsets: list[int] = []
-    total_trials = 0
-    for task in tasks:
-        offsets.append(total_trials)
-        total_trials += len(task)
-    trials_by_index: dict[int, list[Trial]] = {}
-    done_trials = 0
+    args = (
+        conf_overrides, tracing, fault_plan, fault_seed, analyze,
+        trace_sink is not None,
+    )
+    run_inputs = len(inputs)
+    total_trials = len(shards[0].cells) * run_inputs
+    trials: list[Trial | None] = [None] * total_trials
+    done_shards = done_trials = 0
 
-    def finish(task: Task, result: ShardResult) -> None:
-        nonlocal done_trials
-        task_trials = result.to_trials(task)
-        trials_by_index[task.index] = task_trials
-        done_trials += len(task_trials)
+    def finish(shard: Shard, result: ShardResult) -> None:
+        nonlocal done_shards, done_trials
+        shard_trials = result.to_trials(shard)
+        indices = shard.trial_indices(run_inputs)
+        for index, trial in zip(indices, shard_trials):
+            trials[index] = trial
+        done_shards += 1
+        done_trials += len(shard_trials)
         if metrics is not None:
-            metrics.record_shard(result, task_trials)
+            metrics.record_shard(result, shard_trials)
         if analysis_sink is not None:
-            analysis_sink[task.index] = result.analysis
+            analysis_sink.update(zip(shard.positions, result.analyses))
         if trace_sink is not None:
             batches = result.span_batches()
             if batches is not None:
-                offset = offsets[task.index]
-                for position, spans in enumerate(batches):
-                    trace_sink[offset + position] = spans
+                trace_sink.update(zip(indices, batches))
         if injection_sink is not None:
             batches = result.injection_batches()
             if batches is not None:
-                offset = offsets[task.index]
-                for position, records in enumerate(batches):
-                    injection_sink[offset + position] = records
+                injection_sink.update(zip(indices, batches))
         if progress is not None:
-            progress(
-                len(trials_by_index), len(tasks), done_trials, total_trials
-            )
+            progress(done_shards, len(shards), done_trials, total_trials)
 
     if jobs == 1:
-        # sequential semantics: tasks walked in order on the calling
+        # sequential semantics: shards walked in order on the calling
         # thread, deployments pooled so the engines' plan caches carry
         # across trials (results are byte-identical to fresh-per-trial —
         # the pooled-vs-fresh equivalence is pinned by tests).
-        for task in tasks:
-            finish(task, work(task, *args))
+        for shard in shards:
+            finish(shard, run_shard(shard, *args))
     else:
 
         def drain(workers: Executor) -> None:
+            # largest shards first, so no big one starts last
             pending = {
-                workers.submit(work, task, *args): task for task in tasks
+                workers.submit(run_shard, shard, *args): shard
+                for shard in sorted(shards, key=len, reverse=True)
             }
             while pending:
                 done, _ = wait(pending, return_when=FIRST_COMPLETED)
                 for future in done:
-                    task = pending.pop(future)
-                    finish(task, future.result())
+                    finish(pending.pop(future), future.result())
 
         if pool_handle is not None:
             drain(pool_handle.executor())
@@ -1219,21 +1189,23 @@ def execute(
                     statement_texts,
                 )
             with _make_executor(
-                flavour, min(jobs, len(tasks)), initializer, initargs
+                flavour, min(jobs, len(shards)), initializer, initargs
             ) as workers:
                 drain(workers)
+    return trials  # type: ignore[return-value]
 
-    if analyze is not None:
-        # input task i holds column i of the plan → format → input matrix
-        return [
-            trials_by_index[index][cell]
-            for cell in range(len(tasks[0]))
-            for index in range(len(tasks))
-        ]
-    trials: list[Trial] = []
-    for index in range(len(tasks)):
-        trials.extend(trials_by_index[index])
-    return trials
+
+def _check_unique_ids(inputs: list[TestInput]) -> None:
+    """Refuse a repeated input id: Diff and classification bucket by
+    ``input_id``, so two inputs sharing one would be judged as one."""
+    seen: set[int] = set()
+    for test_input in inputs:
+        if test_input.input_id in seen:
+            raise ValueError(
+                f"input id {test_input.input_id} repeats; per-input "
+                "analysis needs unique input ids"
+            )
+        seen.add(test_input.input_id)
 
 
 def run_trials(

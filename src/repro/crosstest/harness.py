@@ -234,20 +234,26 @@ class CrossTester:
         fault_seed: int = 0,
         injection_sink=None,
         batch: bool = True,
+        analyze=None,
+        analysis_sink=None,
     ) -> list[Trial]:
         """Run the full matrix.
 
         ``jobs=1`` (the default) preserves the original fully sequential
-        semantics; ``jobs>1`` or ``jobs=None`` (auto-size) shards the
-        matrix onto a worker pool — see :mod:`repro.crosstest.executor`.
-        Trial ordering is identical either way. ``trace_sink`` (a dict)
-        switches per-trial boundary tracing on; it fills with
-        ``{trial index: finished spans}``. ``fault_plan``/``fault_seed``
-        switch deterministic fault injection on, with fired injections
-        reported through ``injection_sink`` the same way. Every trial
-        runs through the executor's one lane runner: ``batch`` lets
-        same-type trials share a lane, while traced or fault-injected
-        trials always run as lanes of one — see
+        semantics; ``jobs>1`` or ``jobs=None`` (auto-size) runs the
+        matrix's shards, one lane group of inputs under every plan ×
+        format each, on a worker pool — see
+        :mod:`repro.crosstest.executor`. Trial ordering is identical
+        either way. ``trace_sink`` (a dict) switches per-trial boundary
+        tracing on; it fills with ``{trial index: finished spans}``.
+        ``fault_plan``/``fault_seed`` switch deterministic fault
+        injection on, with fired injections reported through
+        ``injection_sink`` the same way. Every trial runs through the
+        executor's one lane runner: ``batch`` lets same-type trials
+        share a lane, while traced or fault-injected trials always run
+        as lanes of one. ``analyze`` runs in the worker once per input
+        on that input's trials, filling ``analysis_sink`` with
+        ``{input position: result}`` — see
         :func:`repro.crosstest.executor.run_shard`.
         """
         from repro.crosstest.executor import execute
@@ -266,6 +272,8 @@ class CrossTester:
             fault_seed=fault_seed,
             injection_sink=injection_sink,
             batch=batch,
+            analyze=analyze,
+            analysis_sink=analysis_sink,
         )
 
     def run_trial(self, plan: Plan, fmt: str, test_input: TestInput) -> Trial:

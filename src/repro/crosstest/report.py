@@ -8,6 +8,7 @@ counts of §8.2.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass, field
 
 from repro.crosstest.catalog import CATALOG, CATEGORY_MEMBERS, Discrepancy
@@ -342,6 +343,128 @@ class CrossTestReport:
         return lines
 
 
+@dataclass(frozen=True)
+class InputAnalysis:
+    """One input's oracle failures and catalog evidence, computed in the
+    worker that ran its trials (:func:`_analyze_input`)."""
+
+    #: ``all_failures`` over the input's trials
+    failures: dict[str, list[OracleFailure]]
+    #: ``"wr"``/``"eh"`` -> the cell (plan × format position) of each
+    #: of that oracle's failures, which judge one trial each
+    cells: dict[str, tuple[int, ...]]
+    #: catalog number -> cells of the trials ``classify_trials``
+    #: matched, in the matcher's order (only numbers with a match)
+    evidence: dict[int, tuple[int, ...]]
+    #: the oracle spans when the run was traced, else empty
+    spans: tuple[Span, ...]
+
+
+def _analyze_input(
+    trials: list[Trial], spans: list[tuple[Span, ...]] | None
+) -> InputAnalysis:
+    """Judge one input's trials (every plan × format, in order).
+
+    The executor calls this in the worker that ran them (see
+    :func:`~repro.crosstest.executor.run_shard`), so it must pickle by
+    reference. WR and EH judge one trial, Diff and classification bucket
+    by input id, so one input's trials hold all they look at. Under
+    tracing (``spans`` given) the oracles run under their own tracer,
+    trace id ``crosstest/oracles/<input id>``, and their spans ride home
+    on the result.
+    """
+    tracer = None
+    if spans is not None:
+        tracer = Tracer(
+            trace_id=f"crosstest/oracles/{trials[0].test_input.input_id}"
+        )
+    with tracer if tracer is not None else contextlib.nullcontext():
+        failures = all_failures(trials)
+        evidence = classify_trials(trials)
+    cell_of = {id(trial): cell for cell, trial in enumerate(trials)}
+    return InputAnalysis(
+        failures=failures,
+        cells={
+            oracle: _failure_cells(trials, failures[oracle])
+            for oracle in ("wr", "eh")
+        },
+        evidence={
+            number: tuple(cell_of[id(trial)] for trial in found.trials)
+            for number, found in evidence.items()
+            if found.trials
+        },
+        spans=tuple(tracer.finished) if tracer is not None else (),
+    )
+
+
+def _failure_cells(
+    trials: list[Trial], failures: list[OracleFailure]
+) -> tuple[int, ...]:
+    """The cell of each one-trial failure: the oracle yields at most one
+    per trial, in trial order, so each failure belongs to the next trial
+    of its plan and format."""
+    cells: list[int] = []
+    cell = 0
+    for failure in failures:
+        while (trials[cell].plan.name, trials[cell].fmt) != (
+            failure.plans[0],
+            failure.fmt,
+        ):
+            cell += 1
+        cells.append(cell)
+        cell += 1
+    return tuple(cells)
+
+
+def _merge_analyses(
+    trials: list[Trial], analyses: dict[int, InputAnalysis]
+) -> tuple[dict[str, list[OracleFailure]], dict[int, Evidence]]:
+    """What ``all_failures(trials)`` and ``classify_trials(trials)``
+    return over the whole run, rebuilt from its inputs' analyses.
+
+    ``trials`` is the run's plan → format → input list and ``analyses``
+    is keyed by input position. WR and EH failures come back in trial
+    order. Diff failures come back bucket by bucket, as
+    :func:`~repro.crosstest.oracles.difft_failures` walks them: every
+    plan-axis bucket sorted by ``(group, fmt, input_id)``, then every
+    format-axis bucket by ``(group, plan, input_id)``, each bucket in
+    its worker's order. Evidence lists inputs in position order, and
+    each input's matches in the matcher's order, as the report's own
+    ``Trial`` objects.
+    """
+    run_inputs = len(analyses)
+    ordered = [analyses[position] for position in range(run_inputs)]
+    failures: dict[str, list[OracleFailure]] = {}
+    for oracle in ("wr", "eh"):
+        by_trial = {
+            cell * run_inputs + position: failure
+            for position, analysis in enumerate(ordered)
+            for cell, failure in zip(
+                analysis.cells[oracle], analysis.failures[oracle]
+            )
+        }
+        failures[oracle] = [by_trial[index] for index in sorted(by_trial)]
+    difft = [
+        failure
+        for analysis in ordered
+        for failure in analysis.failures["difft"]
+    ]
+    failures["difft"] = sorted(
+        (failure for failure in difft if failure.axis == "plan"),
+        key=lambda f: (f.group, f.fmt, f.input_id),
+    ) + sorted(
+        (failure for failure in difft if failure.axis == "fmt"),
+        key=lambda f: (f.group, f.plans[0], f.input_id),
+    )
+    evidence = {entry.number: Evidence(entry.number) for entry in CATALOG}
+    for position, analysis in enumerate(ordered):
+        for number, cells in analysis.evidence.items():
+            evidence[number].trials.extend(
+                trials[cell * run_inputs + position] for cell in cells
+            )
+    return failures, evidence
+
+
 def run_crosstest(
     inputs: list[TestInput] | None = None,
     plans=ALL_PLANS,
@@ -360,11 +483,15 @@ def run_crosstest(
     """Run the full §8 pipeline: harness → oracles → classification.
 
     ``jobs`` selects the execution engine: 1 (default) is the original
-    sequential loop, >1 or ``None`` (auto-size) shards the matrix onto a
-    worker pool. The resulting report is identical either way — tracing
+    sequential loop, >1 or ``None`` (auto-size) runs the matrix's
+    shards on a worker pool. Either way each input's oracles and
+    classification run where its trials ran (:func:`_analyze_input`),
+    and this function merges them into exactly what the two passes
+    return over the whole trial list. Input ids must be unique (a
+    repeated one raises ``ValueError``): the oracles bucket by input
+    id. The resulting report is identical at every ``jobs`` — tracing
     included: ``tracing=True`` attaches per-trial span trees (plus the
-    oracle-phase spans) to the report without touching its rendered
-    content.
+    oracle spans) to the report without touching its rendered content.
 
     With a non-empty ``fault_plan``, trials run under deterministic
     fault injection; each injected trial is then re-run fault-free (in
@@ -389,6 +516,7 @@ def run_crosstest(
     injection_sink: dict[int, tuple[InjectionRecord, ...]] | None = (
         {} if injecting else None
     )
+    analyses: dict[int, InputAnalysis] = {}
     trials = tester.run(
         jobs=jobs,
         pool=pool,
@@ -399,62 +527,64 @@ def run_crosstest(
         fault_seed=fault_seed,
         injection_sink=injection_sink,
         batch=batch,
+        analyze=_analyze_input,
+        analysis_sink=analyses,
     )
+    failures, evidence = _merge_analyses(trials, analyses)
 
-    def oracle_phase() -> tuple[dict, dict, FaultReport | None]:
-        failures = all_failures(trials)
-        evidence = classify_trials(trials)
-        faults: FaultReport | None = None
-        if injecting and fault_plan is not None:
-            assert injection_sink is not None
-            injected = {
-                index: records
-                for index, records in injection_sink.items()
-                if records
-            }
-            # baseline reruns go through the executor's pooled/laned
-            # path: one sparse batch over warm deployments instead of a
-            # fresh lease per injected trial, so chaos runs don't pay
-            # per-trial cold round trips for their fault-free oracles.
-            indices = sorted(injected)
-            baseline_outcomes = run_trials(
-                [
-                    (
-                        trials[index].plan,
-                        trials[index].fmt,
-                        trials[index].test_input,
-                    )
-                    for index in indices
-                ],
-                tester.conf_overrides,
-                batch=batch,
-            )
-            baselines: dict[int, Outcome] = dict(
-                zip(indices, baseline_outcomes)
-            )
-            verdicts = fault_robustness(trials, injected, baselines)
-            faults = FaultReport(
-                plan=fault_plan,
-                seed=fault_seed,
-                injections=injected,
-                verdicts=verdicts,
-                trial_keys={
-                    index: (
-                        f"{trials[index].plan.name}/{trials[index].fmt}/"
-                        f"{trials[index].test_input.input_id}"
-                    )
-                    for index in injected
-                },
-            )
-        return failures, evidence, faults
+    def fault_phase() -> FaultReport | None:
+        if not injecting or fault_plan is None:
+            return None
+        assert injection_sink is not None
+        injected = {
+            index: records
+            for index, records in injection_sink.items()
+            if records
+        }
+        # baseline reruns go through the executor's pooled/laned path:
+        # one sparse batch over warm deployments instead of a fresh
+        # lease per injected trial, so chaos runs don't pay per-trial
+        # cold round trips for their fault-free oracles.
+        indices = sorted(injected)
+        baseline_outcomes = run_trials(
+            [
+                (
+                    trials[index].plan,
+                    trials[index].fmt,
+                    trials[index].test_input,
+                )
+                for index in indices
+            ],
+            tester.conf_overrides,
+            batch=batch,
+        )
+        baselines: dict[int, Outcome] = dict(zip(indices, baseline_outcomes))
+        verdicts = fault_robustness(trials, injected, baselines)
+        return FaultReport(
+            plan=fault_plan,
+            seed=fault_seed,
+            injections=injected,
+            verdicts=verdicts,
+            trial_keys={
+                index: (
+                    f"{trials[index].plan.name}/{trials[index].fmt}/"
+                    f"{trials[index].test_input.input_id}"
+                )
+                for index in injected
+            },
+        )
 
+    oracle_spans: tuple[Span, ...] = ()
     if tracing:
         with Tracer(trace_id="crosstest/oracles") as oracle_tracer:
-            failures, evidence, faults = oracle_phase()
-        oracle_spans = tuple(oracle_tracer.finished)
+            faults = fault_phase()
+        oracle_spans = tuple(
+            span
+            for position in range(len(analyses))
+            for span in analyses[position].spans
+        ) + tuple(oracle_tracer.finished)
     else:
-        failures, evidence, faults = oracle_phase()
-        oracle_spans = ()
+        faults = fault_phase()
     return CrossTestReport(
         trials=trials,
         failures=failures,

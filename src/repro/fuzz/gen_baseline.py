@@ -23,10 +23,8 @@ from __future__ import annotations
 
 import sys
 
-from repro.crosstest.executor import execute
-from repro.crosstest.fingerprint import conf_label, run_fingerprints
-from repro.crosstest.oracles import all_failures
-from repro.crosstest.plans import ALL_PLANS, FORMATS
+from repro.crosstest.fingerprint import conf_label
+from repro.crosstest.report import run_crosstest
 from repro.crosstest.values import generate_inputs
 from repro.fuzz.dedup import Baseline, default_baseline_path
 from repro.fuzz.generators import CONF_MENU
@@ -49,12 +47,11 @@ def build_baseline(progress=print) -> Baseline:
     inputs = generate_inputs()
     confs: list[dict[str, object]] = [dict(conf) for conf in CONF_MENU]
     for conf in confs:
-        trials = execute(ALL_PLANS, FORMATS, inputs, conf, jobs=None)
-        failures = all_failures(trials)
+        report = run_crosstest(inputs, conf_overrides=conf, jobs=None)
         label = conf_label(conf)
         added = sum(
             baseline.add(hit.fingerprint)
-            for hit in run_fingerprints(trials, failures, label).values()
+            for hit in report.fingerprints(label).values()
         )
         progress(
             f"curated corpus under conf [{label or 'stock'}]: "

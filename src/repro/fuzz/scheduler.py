@@ -3,7 +3,7 @@
 A campaign runs in *rounds*. Each round draws a deployment conf, fills
 a batch with fresh candidates and mutations of coverage-promoted seeds,
 and fans the batch through :mod:`crosstest.executor` at whatever
-``--jobs``/pool setting the caller picked, one task per candidate.
+``--jobs``/pool setting the caller picked, one shard per candidate.
 Everything that depends on one candidate alone — its trials' coverage
 features, oracle failures, fingerprints and catalog matches — is
 computed in the worker that ran it (:func:`_analyze_candidate`), so its
@@ -572,12 +572,13 @@ def _analyze_candidate(
     """Analyze one candidate's trials (every plan × format, in order)
     and their raw spans, under the round's fingerprint ``label``.
 
-    The executor calls this in the worker (``execute(analyze=)``), so
-    it must pickle by reference. It reaches the coverage, oracle and
-    fingerprint functions through this module's names, so a profiler
-    that rebinds them here times the workers' calls too. Every result
-    is a function of this one input's trials: WR and EH judge one
-    trial, Diff and the fingerprints bucket by input id.
+    The executor calls this in the worker (``execute(analyze=,
+    traced=True)``), so it must pickle by reference. It reaches the
+    coverage, oracle and fingerprint functions through this module's
+    names, so a profiler that rebinds them here times the workers'
+    calls too. Every result is a function of this one input's trials:
+    WR and EH judge one trial, Diff and the fingerprints bucket by
+    input id.
     """
     failures = all_failures(trials)
     hits = run_fingerprints(trials, failures, label)
@@ -624,10 +625,10 @@ def run_round(
     worker pool across rounds instead of paying pool teardown per
     round.
 
-    Each candidate runs as one executor task whose worker analyzes it
-    (:func:`_analyze_candidate`); only outcome columns and those
-    results come home, never spans. This function then does only what
-    depends on order: the coverage merge, promotion and finding
+    Each candidate runs traced as one executor shard whose worker
+    analyzes it (:func:`_analyze_candidate`); only outcome columns and
+    those results come home, never spans. This function then does only
+    what depends on order: the coverage merge, promotion and finding
     bookkeeping. Use :func:`trace_witness` to see a finding's spans.
     """
     config = state.config
@@ -654,6 +655,7 @@ def run_round(
         pool_handle=pool_handle,
         analyze=partial(_analyze_candidate, conf_label(conf_overrides)),
         analysis_sink=analyses,
+        traced=True,
     )
     state.trials_run += len(trials)
 

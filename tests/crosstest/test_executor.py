@@ -5,6 +5,7 @@ import os
 import pickle
 import subprocess
 import sys
+from itertools import product
 
 import pytest
 
@@ -45,32 +46,85 @@ def trial_reprs(trials):
     return [repr(t) for t in trials]
 
 
+def matrix_order(plans, formats, inputs):
+    return [
+        (plan.name, fmt, test_input.input_id)
+        for plan in plans
+        for fmt in formats
+        for test_input in inputs
+    ]
+
+
+def reassembled(shards, run_inputs):
+    """Each shard's trials put at their run indices; ``None`` where no
+    shard landed, and a list where two did."""
+    slots = {}
+    for shard in shards:
+        keys = [
+            (plan.name, fmt, test_input.input_id)
+            for (plan, fmt), test_input in product(shard.cells, shard.inputs)
+        ]
+        for index, key in zip(shard.trial_indices(run_inputs), keys):
+            slots.setdefault(index, []).append(key)
+    total = len(shards[0].cells) * run_inputs
+    return [
+        slots[index][0] if len(slots.get(index, ())) == 1 else None
+        for index in range(total)
+    ]
+
+
 class TestBuildShards:
     def test_indexes_are_contiguous_and_ordered(self):
         shards = build_shards(ALL_PLANS, ("orc", "avro"), SMALL_INPUTS)
         assert [s.index for s in shards] == list(range(len(shards)))
+        # every shard covers every cell, in plan -> format order
+        cells = tuple(product(ALL_PLANS, ("orc", "avro")))
+        assert all(s.cells == cells for s in shards)
 
     def test_concatenation_reproduces_sequential_nesting(self):
-        shards = build_shards(
-            ALL_PLANS[:3], ("orc", "parquet"), SMALL_INPUTS, shard_inputs=7
+        # every (plan, fmt, input) lands exactly once, at its place in
+        # the sequential plan -> format -> input nesting
+        expected = matrix_order(
+            ALL_PLANS[:3], ("orc", "parquet"), SMALL_INPUTS
         )
-        flattened = [
-            (s.plan.name, s.fmt, i.input_id) for s in shards for i in s.inputs
-        ]
-        expected = [
-            (plan.name, fmt, i.input_id)
-            for plan in ALL_PLANS[:3]
-            for fmt in ("orc", "parquet")
-            for i in SMALL_INPUTS
-        ]
-        assert flattened == expected
+        for lanes in (True, False):
+            shards = build_shards(
+                ALL_PLANS[:3],
+                ("orc", "parquet"),
+                SMALL_INPUTS,
+                shard_inputs=7,
+                lanes=lanes,
+            )
+            assert reassembled(shards, len(SMALL_INPUTS)) == expected
+            positions = sorted(p for s in shards for p in s.positions)
+            assert positions == list(range(len(SMALL_INPUTS)))
+            for shard in shards:
+                assert shard.inputs == tuple(
+                    SMALL_INPUTS[p] for p in shard.positions
+                )
 
     def test_chunking_splits_within_a_cell(self):
+        # with shared lanes a shard is one type's inputs, at most
+        # shard_inputs of them, types in first-seen order; a larger
+        # type is cut into consecutive chunks. Without, one input each.
+        by_type = {}
+        for position, test_input in enumerate(SMALL_INPUTS):
+            by_type.setdefault(test_input.type_text, []).append(position)
+        assert max(len(group) for group in by_type.values()) > 4
         shards = build_shards(
-            ALL_PLANS[:1], ("orc",), SMALL_INPUTS, shard_inputs=20
+            ALL_PLANS[:1], ("orc",), SMALL_INPUTS, shard_inputs=4
         )
-        assert len(shards) == 3  # 50 inputs -> 20 + 20 + 10
-        assert [len(s.inputs) for s in shards] == [20, 20, 10]
+        assert [list(s.positions) for s in shards] == [
+            group[start : start + 4]
+            for group in by_type.values()
+            for start in range(0, len(group), 4)
+        ]
+        single = build_shards(
+            ALL_PLANS[:1], ("orc",), SMALL_INPUTS, lanes=False
+        )
+        assert [s.positions for s in single] == [
+            (p,) for p in range(len(SMALL_INPUTS))
+        ]
 
     def test_empty_inputs_yield_no_shards(self):
         assert build_shards(ALL_PLANS[:2], ("orc",), []) == []
@@ -129,81 +183,114 @@ class TestDeploymentPool:
 
 class TestRunShard:
     def test_pooled_and_fresh_deployments_agree(self):
-        shard = build_shards(ALL_PLANS[:1], ("parquet",), SMALL_INPUTS)[0]
-        pooled = run_shard(shard)
-        fresh = [
-            run_trial_on(Deployment(), shard.plan, shard.fmt, test_input)
-            for test_input in shard.inputs
-        ]
-        assert trial_reprs(pooled.to_trials(shard)) == trial_reprs(fresh)
+        cells = ALL_PLANS[:2], ("parquet",)
+        for shard in build_shards(*cells, SMALL_INPUTS):
+            pooled = run_shard(shard)
+            fresh = [
+                run_trial_on(Deployment(), plan, fmt, test_input)
+                for (plan, fmt), test_input in product(
+                    shard.cells, shard.inputs
+                )
+            ]
+            assert trial_reprs(pooled.to_trials(shard)) == trial_reprs(fresh)
 
     def test_durations_cover_every_trial(self):
-        shard = build_shards(ALL_PLANS[:1], ("orc",), SMALL_INPUTS[:5])[0]
-        result = run_shard(shard)
-        assert len(result.durations) == len(result.to_trials(shard)) == 5
-        assert all(d >= 0 for d in result.durations)
+        shards = build_shards(ALL_PLANS[:2], ("orc", "avro"), SMALL_INPUTS)
+        assert max(len(s.inputs) for s in shards) > 1
+        for shard in shards:
+            result = run_shard(shard)
+            assert len(result.durations) == len(result.to_trials(shard))
+            assert len(result.durations) == len(shard)
+            assert all(d >= 0 for d in result.durations)
 
     def test_result_ships_columns_not_trials(self):
-        shard = build_shards(ALL_PLANS[:1], ("orc",), SMALL_INPUTS[:4])[0]
+        shard = max(
+            build_shards(ALL_PLANS[:2], ("orc", "avro"), SMALL_INPUTS),
+            key=len,
+        )
         result = run_shard(shard)
-        assert all(len(col) == 4 for col in result.outcome_columns)
+        assert all(len(col) == len(shard) for col in result.outcome_columns)
         rebuilt = result.to_trials(shard)
-        assert [t.test_input.input_id for t in rebuilt] == [
-            i.input_id for i in shard.inputs
+        assert [
+            (t.plan, t.fmt, t.test_input.input_id) for t in rebuilt
+        ] == [
+            (plan, fmt, test_input.input_id)
+            for (plan, fmt), test_input in product(shard.cells, shard.inputs)
         ]
         assert result.spans_blob is None
         assert result.injections_blob is None
+        assert result.analyses == ()
 
     def test_traced_shard_round_trips_spans_through_blob(self):
-        shard = build_shards(ALL_PLANS[:1], ("orc",), SMALL_INPUTS[:3])[0]
+        shard = build_shards(
+            ALL_PLANS[:2], ("orc", "avro"), SMALL_INPUTS, lanes=False
+        )[0]
         result = run_shard(shard, tracing=True)
         assert isinstance(result.spans_blob, bytes)
         batches = result.span_batches()
-        assert len(batches) == 3
-        assert all(batch for batch in batches)
+        assert len(batches) == len(shard) == 4
+        input_id = shard.inputs[0].input_id
+        assert [{s.trace_id for s in batch} for batch in batches] == [
+            {f"{plan.name}/{fmt}/{input_id}"} for plan, fmt in shard.cells
+        ]
+        # traced without shipping: spans stay in the worker
+        kept = run_shard(shard, tracing=True, ship_spans=False)
+        assert kept.spans_blob is None
+        # a shared lane cannot keep one span tree per trial
+        wide = build_shards(ALL_PLANS[:1], ("orc",), SMALL_INPUTS)[0]
+        assert len(wide.inputs) > 1
+        with pytest.raises(ValueError):
+            run_shard(wide, tracing=True)
 
 
 class TestLeaseAccounting:
-    """Every lease a shard takes is counted exactly once.
+    """Every lease a run's shards take is counted exactly once.
 
-    The shard's ``cache_counts`` must agree with what a fresh worker
-    pool handed out, and its plan-cache deltas with the movement of the
-    engines' own counters. ``w_df_r_sql`` on avro read-poisons the
-    tinyint lane, so the batched shard also fans out into lanes of one.
+    The shards' summed ``cache_counts`` must agree with what a fresh
+    worker pool handed out, and their plan-cache deltas with the
+    movement of the engines' own counters. ``w_df_r_sql`` on avro
+    read-poisons the tinyint lane, so the batched run also fans out
+    into lanes of one.
     """
 
     @pytest.mark.parametrize(
-        "kwargs,laned",
+        "lanes,kwargs,laned",
         [
-            ({"batch": True}, True),
-            ({"batch": False}, False),
-            ({"batch": True, "tracing": True}, False),
+            (True, {}, True),
+            (False, {}, False),
+            (False, {"tracing": True}, False),
             (
-                {
-                    "batch": True,
-                    "fault_plan": BUILTIN_PLANS["smoke"],
-                    "fault_seed": 7,
-                },
+                False,
+                {"fault_plan": BUILTIN_PLANS["smoke"], "fault_seed": 7},
                 False,
             ),
         ],
         ids=["batched", "plain", "traced", "faulted"],
     )
-    def test_counts_match_the_pool(self, monkeypatch, kwargs, laned):
+    def test_counts_match_the_pool(self, monkeypatch, lanes, kwargs, laned):
         monkeypatch.setattr(executor, "_WORKER_POOLS", {})
         plan = next(p for p in ALL_PLANS if p.name == "w_df_r_sql")
-        shard = build_shards((plan,), ("avro",), SMALL_INPUTS)[0]
-        result = run_shard(shard, **kwargs)
-        counts = result.cache_counts
+        if kwargs:
+            # a shared lane cannot keep a per-trial tracer or injector
+            wide = max(build_shards((plan,), ("avro",), SMALL_INPUTS), key=len)
+            with pytest.raises(ValueError):
+                run_shard(wide, **kwargs)
+        shards = build_shards((plan,), ("avro",), SMALL_INPUTS, lanes=lanes)
+        results = [run_shard(shard, **kwargs) for shard in shards]
+        counts = {}
+        for result in results:
+            for name, value in result.cache_counts.items():
+                counts[name] = counts.get(name, 0) + value
+        resets = sum(len(r.stage_durations["reset"]) for r in results)
         pool = worker_pool()
         leases = pool.created + pool.reused
         assert counts["deployments_created"] == pool.created
         assert counts["deployments_reused"] == pool.reused
-        assert len(result.stage_durations["reset"]) == leases
+        assert resets == leases
         if laned:
-            assert leases < len(shard.inputs)
+            assert leases < len(SMALL_INPUTS)
         else:
-            assert leases == len(shard.inputs)
+            assert leases == len(SMALL_INPUTS)
         # every deployment went back to the pool, so together they
         # hold all the engine counter movement since they were built
         assert len(pool._idle) == pool.created
@@ -314,17 +401,25 @@ class TestExecuteEquivalence:
         )
         assert seq.to_json() == par.to_json()
 
-    def test_small_odd_shards_still_ordered(self):
+    def test_small_odd_shards_still_ordered(self, monkeypatch):
+        sequential = execute(ALL_PLANS, ("orc",), SMALL_INPUTS, jobs=1)
+        monkeypatch.setattr(executor, "DEFAULT_SHARD_INPUTS", 7)
+        calls = []
         parallel = execute(
             ALL_PLANS,
             ("orc",),
             SMALL_INPUTS,
             jobs=5,
             pool="thread",
-            shard_inputs=7,
+            progress=lambda *args: calls.append(args),
         )
-        assert trial_reprs(parallel) == trial_reprs(
-            execute(ALL_PLANS, ("orc",), SMALL_INPUTS, jobs=1)
+        assert trial_reprs(parallel) == trial_reprs(sequential)
+        # the cap took: as many shards as a 7-input cut makes
+        assert calls[-1][1] == len(
+            build_shards(ALL_PLANS, ("orc",), SMALL_INPUTS, shard_inputs=7)
+        )
+        assert calls[-1][1] > len(
+            build_shards(ALL_PLANS, ("orc",), SMALL_INPUTS)
         )
 
 

@@ -1,11 +1,12 @@
-"""Input tasks: one input under every plan × format, analyzed in its worker."""
+"""Per-input analysis: every shard analyzes its inputs in its worker."""
 
 import pytest
 
 from repro.crosstest.executor import CrossTestMetrics, execute
 from repro.crosstest.oracles import signature
 from repro.crosstest.plans import ALL_PLANS, FORMATS
-from repro.crosstest.values import generate_inputs
+from repro.crosstest.report import run_crosstest
+from repro.crosstest.values import TestInput, generate_inputs
 from repro.faults import BUILTIN_PLANS
 
 INPUTS = generate_inputs()[:6] + generate_inputs()[210:214]
@@ -18,6 +19,16 @@ def _trace_ids(trials, traces):
         (trial.plan.name, trial.fmt, sorted({span.trace_id for span in spans}))
         for trial, spans in zip(trials, traces)
     ]
+
+
+def _cells(trials, traces):
+    """A picklable analysis: the input, its trials' cells, and whether
+    spans came along."""
+    return (
+        {trial.test_input.input_id for trial in trials},
+        [(trial.plan.name, trial.fmt) for trial in trials],
+        traces is not None,
+    )
 
 
 def _rows(trials):
@@ -40,6 +51,7 @@ def test_input_tasks_keep_the_matrix_order_and_analyze_traced_trials(
     trials = execute(
         ALL_PLANS, FORMATS, INPUTS, PLAIN, jobs=jobs, pool=pool,
         metrics=metrics, analyze=_trace_ids, analysis_sink=analyses,
+        traced=True,
     )
     assert _rows(trials) == _rows(expected)
     assert int(metrics.trials_total.value) == len(trials)
@@ -52,14 +64,47 @@ def test_input_tasks_keep_the_matrix_order_and_analyze_traced_trials(
         ]
 
 
-def test_input_tasks_refuse_a_trace_sink_or_faults():
-    with pytest.raises(ValueError):
+@pytest.mark.parametrize(
+    "options",
+    [
+        {},
+        {"batch": False},
+        {"trace_sink": {}},
+        {"fault_plan": BUILTIN_PLANS["smoke"], "injection_sink": {}},
+    ],
+    ids=["lanes", "unbatched", "traced", "faulted"],
+)
+def test_every_pass_analyzes_each_input_once_in_cell_order(options):
+    # shared lanes put several inputs in one shard; each still gets
+    # one call over its own 24 trials, spans only when traced
+    analyses = {}
+    trials = execute(
+        ALL_PLANS, FORMATS, INPUTS, jobs=2, pool="thread",
+        analyze=_cells, analysis_sink=analyses, **options,
+    )
+    cells = [(plan.name, fmt) for plan in ALL_PLANS for fmt in FORMATS]
+    assert len(trials) == len(cells) * len(INPUTS)
+    traced = "trace_sink" in options
+    assert analyses == {
+        index: ({test_input.input_id}, cells, traced)
+        for index, test_input in enumerate(INPUTS)
+    }
+    if traced:
+        assert sorted(options["trace_sink"]) == list(range(len(trials)))
+
+
+def test_repeated_input_ids_are_refused():
+    # Diff and classification bucket by input id: two inputs sharing
+    # one would be diffed against each other
+    first = TestInput(0, "int", "5", 5, True, "int 5")
+    second = TestInput(0, "string", "'x'", "x", True, "string x")
+    with pytest.raises(ValueError, match="input id 0 repeats"):
+        run_crosstest(inputs=[first, second])
+    with pytest.raises(ValueError, match="input id 0 repeats"):
         execute(
-            ALL_PLANS, FORMATS, INPUTS, analyze=_trace_ids,
-            analysis_sink={}, trace_sink={},
+            ALL_PLANS, FORMATS, [first, second], analyze=_cells,
+            analysis_sink={},
         )
-    with pytest.raises(ValueError):
-        execute(
-            ALL_PLANS, FORMATS, INPUTS, analyze=_trace_ids,
-            analysis_sink={}, fault_plan=BUILTIN_PLANS["smoke"],
-        )
+    # without per-input analysis the executor still runs them
+    assert len(execute(ALL_PLANS, FORMATS, [first, second])) == 48
+    assert run_crosstest(inputs=[first]).failures["difft"] == []
