@@ -75,9 +75,10 @@ bench-gate:
 perfbench-tests:
 	PYTHONPATH=src:. $(PYTHON) -m pytest -q perfbench/tests
 
-# the CI chaos job, locally: seeded fault matrix over the distilled
-# corpus, gated on mis-handled trials, run twice — the fault report
-# must be byte-identical
+# the CI chaos job's gates, locally: seeded fault matrix over the
+# distilled corpus, gated on mis-handled trials, run at jobs 2, 4 and 1
+# (verdicts from pool workers, then from this process) and traced —
+# every fault report must be byte-identical
 chaos:
 	$(PYTHON) -m repro crosstest --corpus smoke --jobs 2 \
 		--faults smoke --fault-seed 1337 --quiet \
@@ -86,6 +87,17 @@ chaos:
 		--faults smoke --fault-seed 1337 --quiet \
 		--fault-json fault-report-rerun.json --fault-gate
 	diff fault-report.json fault-report-rerun.json
+	$(PYTHON) -m repro crosstest --corpus smoke --jobs 1 \
+		--faults smoke --fault-seed 1337 --quiet \
+		--fault-json fault-report-j1.json --fault-gate
+	diff fault-report.json fault-report-j1.json
+	rm -rf chaos-trace
+	$(PYTHON) -m repro crosstest --corpus smoke --jobs 2 \
+		--faults smoke --fault-seed 1337 --quiet \
+		--fault-json fault-report-traced.json --fault-gate \
+		--trace-dir chaos-trace
+	diff fault-report.json fault-report-traced.json
+	$(PYTHON) -m repro trace summarize chaos-trace
 
 # the CI fuzz-smoke job, locally: the canonical fixed-seed campaign,
 # gated on novel fingerprints (exit 4 = a discrepancy the committed

@@ -879,11 +879,10 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
 
-    section = result.section()
     if args.json:
-        print(json.dumps(section.to_json(), indent=1, sort_keys=True))
+        print(json.dumps(result.to_json(), indent=1, sort_keys=True))
     else:
-        print("\n".join(section.summary_lines()))
+        print("\n".join(result.summary_lines()))
     sys.stdout.flush()
     if ledger_error is not None:
         # errors are not chatter: reported even under --quiet

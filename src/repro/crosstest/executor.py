@@ -14,9 +14,10 @@ use, so each of their trials keeps its own tracer and fault injector.
 
 Because a shard holds every trial of its inputs, per-input work runs in
 the worker that ran the trials: given ``analyze``, :func:`run_shard`
-calls it once per input on that input's trials (the §8 oracles and
-classification for a matrix pass, coverage features and fingerprints
-for a fuzz round), and only its result ships home.
+calls it once per input on that input's trials (the §8 oracles,
+classification and, under a fault plan, the fault-free reruns and
+robustness verdicts for a matrix pass; coverage features and
+fingerprints for a fuzz round), and only its result ships home.
 
 Two invariants hold regardless of scheduling:
 
@@ -62,12 +63,7 @@ from repro.crosstest.harness import (
 )
 from repro.crosstest.plans import Plan
 from repro.crosstest.values import TestInput
-from repro.faults.core import (
-    FaultInjector,
-    InjectionRecord,
-    decode_injection_batches,
-    encode_injection_batches,
-)
+from repro.faults.core import FaultInjector, InjectionRecord
 from repro.faults.plan import FaultPlan
 from repro.metrics import Histogram, MetricsRegistry
 from repro.tracing.core import Span, Tracer
@@ -132,10 +128,18 @@ class Shard:
         ]
 
 
-#: what a worker runs over one input's trials (in cell order) and their
-#: spans (per trial, or ``None`` when the run is untraced); it must
+#: what a worker runs over one input's trials (in cell order), their
+#: spans and their fired injections (each one tuple per trial, or
+#: ``None`` when the run is untraced or no fault plan ran); it must
 #: pickle by reference, and so must its return value
-Analyze = Callable[[list[Trial], list[tuple[Span, ...]] | None], object]
+Analyze = Callable[
+    [
+        list[Trial],
+        list[tuple[Span, ...]] | None,
+        list[tuple[InjectionRecord, ...]] | None,
+    ],
+    object,
+]
 
 
 #: ``Outcome`` fields in declaration order — the columnar wire schema a
@@ -175,21 +179,21 @@ class ShardResult:
     * ``spans_blob``: only when a traced shard ships its spans — every
       trial's finished spans encoded once per shard via
       :func:`~repro.tracing.export.encode_span_batches`.
-    * ``injections_blob``: only when a shard ran under a fault plan —
-      per-trial :class:`InjectionRecord` tuples encoded the same way.
     * ``stage_durations``: wall-clock samples per harness stage
       (``create``/``write``/``read``/``reset``), aggregated across the
       shard — the raw feed for the per-stage latency histograms. Not
       per-trial: a lane's create covers many trials at once.
     * ``analyses``: only when the shard ran with ``analyze`` — what it
       returned for each input, in shard order (see :func:`run_shard`).
+      Fired fault injections reach the parent only this way, inside
+      what ``analyze`` returned.
 
     :meth:`pack` builds the wire form inside the worker and
-    :meth:`to_trials` / :meth:`span_batches` / :meth:`injection_batches`
-    rebuild the rich objects parent-side. A shipped span blob makes the
-    encode/decode round trip at *every* ``jobs`` setting (including
-    inline ``jobs=1``), so exported spans and report bytes cannot depend
-    on ``--jobs``. ``analyze`` reads the raw spans, before any encoding.
+    :meth:`to_trials` / :meth:`span_batches` rebuild the rich objects
+    parent-side. A shipped span blob makes the encode/decode round trip
+    at *every* ``jobs`` setting (including inline ``jobs=1``), so
+    exported spans and report bytes cannot depend on ``--jobs``.
+    ``analyze`` reads the raw spans, before any encoding.
     """
 
     index: int
@@ -197,7 +201,6 @@ class ShardResult:
     durations: list[float] = field(default_factory=list)
     cache_counts: dict[str, int] = field(default_factory=dict)
     spans_blob: bytes | None = None
-    injections_blob: bytes | None = None
     stage_durations: dict[str, list[float]] = field(default_factory=dict)
     analyses: tuple = ()
 
@@ -209,7 +212,6 @@ class ShardResult:
         durations: list[float],
         cache_counts: dict[str, int],
         traces: list[tuple[Span, ...]] | None,
-        injections: list[tuple[InjectionRecord, ...]] | None,
         stage_times: list[tuple[str, float]] | None = None,
     ) -> "ShardResult":
         """Encode one executed shard into its wire form (worker side)."""
@@ -226,11 +228,6 @@ class ShardResult:
             cache_counts=cache_counts,
             spans_blob=(
                 encode_span_batches(traces) if traces is not None else None
-            ),
-            injections_blob=(
-                encode_injection_batches(injections)
-                if injections is not None
-                else None
             ),
             stage_durations=stage_durations,
         )
@@ -249,12 +246,6 @@ class ShardResult:
         if self.spans_blob is None:
             return None
         return decode_span_batches(self.spans_blob)
-
-    def injection_batches(self) -> list[tuple[InjectionRecord, ...]] | None:
-        """Per-trial fired injections, or ``None`` if no fault plan ran."""
-        if self.injections_blob is None:
-            return None
-        return decode_injection_batches(self.injections_blob)
 
 
 def build_shards(
@@ -685,10 +676,11 @@ def run_shard(
     both, so a traced or fault-injected shard must hold one input
     (:func:`build_shards` cuts them that way).
 
-    With ``analyze``, the worker then calls ``analyze(trials, spans)``
-    once per input, on that input's trials in plan → format order and
-    their raw spans (``None`` when untraced), and the results ride home
-    on ``ShardResult.analyses``.
+    With ``analyze``, the worker then calls ``analyze(trials, spans,
+    injections)`` once per input, on that input's trials in plan →
+    format order, their raw spans (``None`` when untraced) and the
+    injections each trial fired (``None`` when no plan ran), and the
+    results ride home on ``ShardResult.analyses``.
     """
     injecting = fault_plan is not None and not fault_plan.empty
     width = len(shard.inputs)
@@ -732,7 +724,6 @@ def run_shard(
         durations,
         counts,
         traces if ship_spans else None,
-        injections,
         stage_times=stage_times,
     )
     if analyze is not None:
@@ -743,7 +734,7 @@ def run_shard(
             )
         ]
         result.analyses = tuple(
-            analyze(trials[column::width], traces)
+            analyze(trials[column::width], traces, injections)
             for column in range(width)
         )
     return result
@@ -993,24 +984,14 @@ class WorkerPoolHandle:
     and idempotent to close; it also works as a context manager.
     """
 
-    def __init__(
-        self,
-        jobs: int | None = None,
-        pool: str = "auto",
-        initializer=None,
-        initargs: tuple = (),
-    ) -> None:
+    def __init__(self, jobs: int | None = None, pool: str = "auto") -> None:
         self.jobs = resolve_jobs(jobs)
         self.flavour = resolve_pool(pool, self.jobs)
-        self._initializer = initializer
-        self._initargs = initargs
         self._executor: Executor | None = None
 
     def executor(self) -> Executor:
         if self._executor is None:
-            self._executor = _make_executor(
-                self.flavour, self.jobs, self._initializer, self._initargs
-            )
+            self._executor = _make_executor(self.flavour, self.jobs)
         return self._executor
 
     def close(self) -> None:
@@ -1038,8 +1019,6 @@ def execute(
     trace_sink: dict[int, tuple[Span, ...]] | None = None,
     fault_plan: FaultPlan | None = None,
     fault_seed: int = 0,
-    injection_sink: dict[int, tuple[InjectionRecord, ...]] | None = None,
-    prewarm: bool = True,
     batch: bool = True,
     pool_handle: "WorkerPoolHandle | None" = None,
     analyze: Analyze | None = None,
@@ -1065,29 +1044,27 @@ def execute(
     ``jobs``/``pool`` setting. Spans travel home only into it.
 
     ``fault_plan``/``fault_seed`` switch deterministic fault injection
-    on (an empty plan is equivalent to no plan at all);
-    ``injection_sink`` is filled like ``trace_sink``, with
-    ``{global trial index: fired injection records}``.
+    on (an empty plan is equivalent to no plan at all). What each
+    trial fired goes to ``analyze`` in its worker, and nowhere else.
 
     ``analyze``, if given, runs in the worker once per input, on that
-    input's trials under every plan × format (see :func:`run_shard`);
-    ``analysis_sink`` is filled with ``{input position: what analyze
-    returned}``. Per-input analysis needs unique input ids, so a
-    repeated id raises ``ValueError``. ``traced`` traces every trial in
-    its worker even without a ``trace_sink``: ``analyze`` sees the
-    spans, and nothing ships them home (how fuzz rounds collect
-    coverage).
+    input's trials under every plan × format, their spans and their
+    fired injections (see :func:`run_shard`); ``analysis_sink`` is
+    filled with ``{input position: what analyze returned}``. Per-input
+    analysis needs unique input ids, so a repeated id raises
+    ``ValueError``. ``traced`` traces every trial in its worker even
+    without a ``trace_sink``: ``analyze`` sees the spans, and nothing
+    ships them home (how fuzz rounds collect coverage).
 
-    ``prewarm`` (process pools only) installs :func:`prewarm_worker`
-    as the pool initializer so fresh workers start on warm parse and
-    plan caches instead of paying cold-start on their first shard.
+    A process pool built here installs :func:`prewarm_worker` as its
+    initializer, so fresh workers start on warm parse and plan caches
+    instead of paying cold-start on their first shard.
 
     ``pool_handle``, if given (and ``jobs > 1``), submits shards to the
     caller's persistent :class:`WorkerPoolHandle` instead of building
     and tearing down a pool inside this call — the repeated-submission
     path the fuzz scheduler and the always-on campaign service use.
-    ``prewarm`` is ignored on that path (the handle fixed its
-    initializer at construction).
+    Its workers are not pre-warmed: they stay warm across calls.
 
     A zero-trial matrix (no plans, no formats, or no inputs) returns
     immediately — no shards, no pool, no progress callbacks.
@@ -1134,10 +1111,6 @@ def execute(
             batches = result.span_batches()
             if batches is not None:
                 trace_sink.update(zip(indices, batches))
-        if injection_sink is not None:
-            batches = result.injection_batches()
-            if batches is not None:
-                injection_sink.update(zip(indices, batches))
         if progress is not None:
             progress(done_shards, len(shards), done_trials, total_trials)
 
@@ -1167,7 +1140,7 @@ def execute(
             flavour = resolve_pool(pool, jobs)
             initializer = None
             initargs: tuple = ()
-            if flavour == "process" and prewarm:
+            if flavour == "process":
                 type_texts, statement_texts = corpus_texts(formats, inputs)
                 # warm with a small same-type lane (the first type's
                 # first two inputs) so workers compile the exact
@@ -1211,34 +1184,20 @@ def _check_unique_ids(inputs: list[TestInput]) -> None:
 def run_trials(
     specs: list[tuple[Plan, str, TestInput]],
     conf_overrides: dict[str, object] | None = None,
-    batch: bool = True,
 ) -> list[Outcome]:
     """Run a sparse set of (plan, fmt, input) triples, outcomes in order.
 
     The pooled path for callers that need a handful of scattered trials
-    rather than a full matrix — e.g. the fault-robustness oracle
-    re-running only the injected trials to establish fault-free
-    baselines, or :meth:`CrossTester.run_trial`. Triples run through
-    the same lane runner as a shard, on deployments leased from the
-    worker-global pool (warm plan caches, reset on release, never
-    thrown away). With ``batch`` the triples are grouped into (plan,
-    fmt, type) lanes so a chaos run's baseline pass amortizes the
-    per-trial round trip the same way the main matrix does; without
-    it, each triple is a lane of one.
+    rather than a full matrix — the fault-free baselines of one input's
+    injected trials (:func:`repro.crosstest.report._analyze_input`,
+    in the worker that ran them) or :meth:`CrossTester.run_trial`.
+    Each triple is a lane of one through the same lane runner as a
+    shard, on a deployment leased from the worker-global pool (warm
+    plan caches, reset on release, never thrown away).
     """
     pool = worker_pool(conf_overrides)
-    outcomes: list[Outcome | None] = [None] * len(specs)
     counts = _new_counts()
-    lanes: dict[object, list[int]] = {}
-    for position, (plan, fmt, test_input) in enumerate(specs):
-        key = (plan, fmt, test_input.type_text) if batch else position
-        lanes.setdefault(key, []).append(position)
-    for positions in lanes.values():
-        plan, fmt, _ = specs[positions[0]]
-        lane_inputs = tuple(specs[position][2] for position in positions)
-        lane_outcomes = _run_lane(
-            pool, plan, fmt, lane_inputs, counts, None
-        )
-        for position, outcome in zip(positions, lane_outcomes):
-            outcomes[position] = outcome
-    return outcomes  # type: ignore[return-value]
+    return [
+        _run_lane(pool, plan, fmt, (test_input,), counts, None)[0]
+        for plan, fmt, test_input in specs
+    ]

@@ -232,7 +232,6 @@ class CrossTester:
         trace_sink=None,
         fault_plan=None,
         fault_seed: int = 0,
-        injection_sink=None,
         batch: bool = True,
         analyze=None,
         analysis_sink=None,
@@ -247,14 +246,13 @@ class CrossTester:
         either way. ``trace_sink`` (a dict) switches per-trial boundary
         tracing on; it fills with ``{trial index: finished spans}``.
         ``fault_plan``/``fault_seed`` switch deterministic fault
-        injection on, with fired injections reported through
-        ``injection_sink`` the same way. Every trial runs through the
-        executor's one lane runner: ``batch`` lets same-type trials
-        share a lane, while traced or fault-injected trials always run
-        as lanes of one. ``analyze`` runs in the worker once per input
-        on that input's trials, filling ``analysis_sink`` with
-        ``{input position: result}`` — see
-        :func:`repro.crosstest.executor.run_shard`.
+        injection on. Every trial runs through the executor's one lane
+        runner: ``batch`` lets same-type trials share a lane, while
+        traced or fault-injected trials always run as lanes of one.
+        ``analyze`` runs in the worker once per input on that input's
+        trials, spans and fired injections (the only way those reach
+        the caller), filling ``analysis_sink`` with ``{input position:
+        result}`` — see :func:`repro.crosstest.executor.run_shard`.
         """
         from repro.crosstest.executor import execute
 
@@ -270,7 +268,6 @@ class CrossTester:
             trace_sink=trace_sink,
             fault_plan=fault_plan,
             fault_seed=fault_seed,
-            injection_sink=injection_sink,
             batch=batch,
             analyze=analyze,
             analysis_sink=analysis_sink,

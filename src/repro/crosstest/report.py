@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import contextlib
 from dataclasses import dataclass, field
+from functools import partial
 
 from repro.crosstest.catalog import CATALOG, CATEGORY_MEMBERS, Discrepancy
 from repro.crosstest.classify import Evidence, classify_trials
@@ -28,7 +29,7 @@ from repro.faults.core import InjectionRecord
 from repro.faults.plan import FaultPlan
 from repro.tracing.core import Span, Tracer
 
-__all__ = ["CrossTestReport", "FaultReport", "FuzzSection", "run_crosstest"]
+__all__ = ["CrossTestReport", "FaultReport", "run_crosstest"]
 
 #: classification order used everywhere a fault report renders
 _CLASSIFICATIONS = ("masked", "gracefully_failed", "mis_handled")
@@ -125,84 +126,6 @@ class FaultReport:
             )
         return lines
 
-@dataclass
-class FuzzSection:
-    """The fuzzing side of a report: what a campaign searched and found.
-
-    Attached to :class:`CrossTestReport` only by ``repro fuzz`` — plain
-    §8 runs leave it ``None``, and both ``to_json`` and
-    ``summary_lines`` skip an absent section entirely, so the
-    paper-replication report is byte-identical with fuzzing off.
-    """
-
-    seed: int
-    budget: int
-    rounds: int
-    candidates: int
-    trials: int
-    coverage_features: int
-    distinct_fingerprints: int
-    known_fingerprints: int
-    #: rendered summaries of novel findings, in fingerprint-key order
-    novel: list[dict] = field(default_factory=list)
-    #: catalog numbers the campaign's inputs rediscovered behaviourally
-    rediscovered: tuple[int, ...] = ()
-
-    def to_json(self) -> dict:
-        return {
-            "seed": self.seed,
-            "budget": self.budget,
-            "rounds": self.rounds,
-            "candidates": self.candidates,
-            "trials": self.trials,
-            "coverage_features": self.coverage_features,
-            "distinct_fingerprints": self.distinct_fingerprints,
-            "known_fingerprints": self.known_fingerprints,
-            "novel": self.novel,
-            "rediscovered": list(self.rediscovered),
-        }
-
-    def summary_lines(self) -> list[str]:
-        lines = [
-            f"fuzz: seed={self.seed} budget={self.budget} "
-            f"rounds={self.rounds} candidates={self.candidates} "
-            f"trials={self.trials}",
-            f"coverage: {self.coverage_features} features; "
-            f"fingerprints: {self.distinct_fingerprints} distinct "
-            f"({self.known_fingerprints} known, {len(self.novel)} novel)",
-            "rediscovered known discrepancies: "
-            + (
-                ", ".join(f"#{n}" for n in self.rediscovered)
-                if self.rediscovered
-                else "none"
-            ),
-        ]
-        # fingerprints that differ only in format/plan pair render the
-        # same mechanism line — fold them and count the variants
-        rendered: dict[tuple[str, str], int] = {}
-        for finding in self.novel:
-            head = (
-                f"  NOVEL {finding['fingerprint']['oracle']} "
-                f"{finding['fingerprint']['type']} "
-                f"[{finding['fingerprint']['evidence']}]"
-                + (
-                    f" conf={finding['fingerprint']['conf']}"
-                    if finding["fingerprint"]["conf"]
-                    else ""
-                )
-            )
-            repro = (
-                f"    repro: {finding['shrunk']['type_text']} = "
-                f"{finding['shrunk']['sql_literal']}"
-            )
-            rendered[(head, repro)] = rendered.get((head, repro), 0) + 1
-        for (head, repro), count in rendered.items():
-            lines.append(
-                head + (f" x{count}" if count > 1 else "")
-            )
-            lines.append(repro)
-        return lines
-
 
 _GROUP_SHORT = {"spark_e2e": "ss", "spark_hive": "sh", "hive_spark": "hs"}
 
@@ -222,9 +145,6 @@ class CrossTestReport:
     #: robustness results of a fault-injected run — ``None`` for plain
     #: runs, so empty-plan reports stay byte-identical to pre-fault ones
     faults: "FaultReport | None" = None
-    #: fuzz-campaign results — ``None`` for plain §8 runs, keeping the
-    #: paper-replication report byte-identical with fuzzing off
-    fuzz: "FuzzSection | None" = None
 
     # -- derived views ----------------------------------------------------
 
@@ -286,8 +206,6 @@ class CrossTestReport:
         }
         if self.faults is not None:
             payload["fault_robustness"] = self.faults.to_json()
-        if self.fuzz is not None:
-            payload["fuzz"] = self.fuzz.to_json()
         return payload
 
     # -- traces -----------------------------------------------------------
@@ -338,15 +256,13 @@ class CrossTestReport:
             lines.append(f"  {name}: {count}/{paper[name]}")
         if self.faults is not None:
             lines.extend(self.faults.summary_lines())
-        if self.fuzz is not None:
-            lines.extend(self.fuzz.summary_lines())
         return lines
 
 
 @dataclass(frozen=True)
 class InputAnalysis:
-    """One input's oracle failures and catalog evidence, computed in the
-    worker that ran its trials (:func:`_analyze_input`)."""
+    """One input's oracle failures, catalog evidence and fault verdicts,
+    computed in the worker that ran its trials (:func:`_analyze_input`)."""
 
     #: ``all_failures`` over the input's trials
     failures: dict[str, list[OracleFailure]]
@@ -358,29 +274,61 @@ class InputAnalysis:
     evidence: dict[int, tuple[int, ...]]
     #: the oracle spans when the run was traced, else empty
     spans: tuple[Span, ...]
+    #: cell -> the injections its trial fired (only cells that fired)
+    injections: dict[int, tuple[InjectionRecord, ...]]
+    #: cell -> the robustness verdict of each cell in ``injections``
+    verdicts: dict[int, RobustnessVerdict]
 
 
 def _analyze_input(
-    trials: list[Trial], spans: list[tuple[Span, ...]] | None
+    conf_overrides: dict[str, object],
+    trials: list[Trial],
+    spans: list[tuple[Span, ...]] | None,
+    injections: list[tuple[InjectionRecord, ...]] | None,
 ) -> InputAnalysis:
     """Judge one input's trials (every plan × format, in order).
 
-    The executor calls this in the worker that ran them (see
+    :func:`run_crosstest` binds the run's ``conf_overrides`` with
+    :func:`functools.partial`, and the executor calls the result in the
+    worker that ran the trials (see
     :func:`~repro.crosstest.executor.run_shard`), so it must pickle by
-    reference. WR and EH judge one trial, Diff and classification bucket
-    by input id, so one input's trials hold all they look at. Under
-    tracing (``spans`` given) the oracles run under their own tracer,
+    reference. WR and EH judge one trial, Diff and classification
+    bucket by input id, and the robustness oracle judges one trial
+    against its own fault-free rerun, so one input's trials hold all
+    they look at.
+
+    Under a fault plan (``injections`` given), each cell that fired an
+    injection re-runs fault-free through :func:`run_trials` on this
+    worker's pooled deployments, and :func:`fault_robustness` judges it
+    against that baseline. Under tracing (``spans`` given) the oracles,
+    classification and robustness verdicts run under their own tracer,
     trace id ``crosstest/oracles/<input id>``, and their spans ride home
-    on the result.
+    on the result. The reruns run before it opens, so their harness and
+    engine spans stay out of the oracle trace.
     """
+    injected = {
+        cell: records
+        for cell, records in enumerate(injections or ())
+        if records
+    }
+    baselines: dict[int, Outcome] = {}
+    if injected:
+        specs = [
+            (trials[cell].plan, trials[cell].fmt, trials[cell].test_input)
+            for cell in injected
+        ]
+        baselines = dict(zip(injected, run_trials(specs, conf_overrides)))
     tracer = None
     if spans is not None:
         tracer = Tracer(
             trace_id=f"crosstest/oracles/{trials[0].test_input.input_id}"
         )
+    verdicts: dict[int, RobustnessVerdict] = {}
     with tracer if tracer is not None else contextlib.nullcontext():
         failures = all_failures(trials)
         evidence = classify_trials(trials)
+        if injected:
+            verdicts = fault_robustness(trials, injected, baselines)
     cell_of = {id(trial): cell for cell, trial in enumerate(trials)}
     return InputAnalysis(
         failures=failures,
@@ -394,6 +342,8 @@ def _analyze_input(
             if found.trials
         },
         spans=tuple(tracer.finished) if tracer is not None else (),
+        injections=injected,
+        verdicts=verdicts,
     )
 
 
@@ -465,6 +415,37 @@ def _merge_analyses(
     return failures, evidence
 
 
+def _merge_faults(
+    trials: list[Trial],
+    analyses: dict[int, InputAnalysis],
+    plan: FaultPlan,
+    seed: int,
+) -> FaultReport:
+    """The run's :class:`FaultReport`, rebuilt from its inputs' analyses.
+
+    Each input's injections and verdicts are keyed by cell, and the
+    trial at cell ``c`` of the input at position ``p`` sits at index
+    ``c * len(analyses) + p`` of the run's plan → format → input list,
+    as WR and EH failures do in :func:`_merge_analyses`. Entries come
+    back in index order.
+    """
+    run_inputs = len(analyses)
+    report = FaultReport(plan=plan, seed=seed)
+    located = sorted(
+        (cell * run_inputs + position, position, cell)
+        for position, analysis in analyses.items()
+        for cell in analysis.verdicts
+    )
+    for index, position, cell in located:
+        trial = trials[index]
+        report.injections[index] = analyses[position].injections[cell]
+        report.verdicts[index] = analyses[position].verdicts[cell]
+        report.trial_keys[index] = (
+            f"{trial.plan.name}/{trial.fmt}/{trial.test_input.input_id}"
+        )
+    return report
+
+
 def run_crosstest(
     inputs: list[TestInput] | None = None,
     plans=ALL_PLANS,
@@ -484,21 +465,23 @@ def run_crosstest(
 
     ``jobs`` selects the execution engine: 1 (default) is the original
     sequential loop, >1 or ``None`` (auto-size) runs the matrix's
-    shards on a worker pool. Either way each input's oracles and
-    classification run where its trials ran (:func:`_analyze_input`),
-    and this function merges them into exactly what the two passes
-    return over the whole trial list. Input ids must be unique (a
+    shards on a worker pool. Either way each input is judged where its
+    trials ran (:func:`_analyze_input`), and this function only merges:
+    the oracles and classification into exactly what the two passes
+    return over the whole trial list, the fault verdicts into a
+    :class:`FaultReport` by trial index. Input ids must be unique (a
     repeated one raises ``ValueError``): the oracles bucket by input
     id. The resulting report is identical at every ``jobs`` — tracing
     included: ``tracing=True`` attaches per-trial span trees (plus the
     oracle spans) to the report without touching its rendered content.
 
     With a non-empty ``fault_plan``, trials run under deterministic
-    fault injection; each injected trial is then re-run fault-free (in
-    this process, against the pooled deployments) to obtain its
-    baseline, and the fault-robustness oracle attaches a
-    :class:`FaultReport` to the result. An empty or absent plan leaves
-    the report byte-identical to a plain run.
+    fault injection; in the worker that ran them, each injected trial
+    is re-run fault-free against that worker's pooled deployments to
+    obtain its baseline, and the fault-robustness oracle judges it
+    there. The verdicts come home as a :class:`FaultReport` on the
+    result. An empty or absent plan leaves the report byte-identical
+    to a plain run.
 
     Every trial runs through the executor's one lane runner. ``batch``
     (the default) lets same-type trials share a lane; traced or
@@ -513,9 +496,6 @@ def run_crosstest(
     )
     injecting = fault_plan is not None and not fault_plan.empty
     trace_sink: dict[int, tuple[Span, ...]] | None = {} if tracing else None
-    injection_sink: dict[int, tuple[InjectionRecord, ...]] | None = (
-        {} if injecting else None
-    )
     analyses: dict[int, InputAnalysis] = {}
     trials = tester.run(
         jobs=jobs,
@@ -525,71 +505,23 @@ def run_crosstest(
         trace_sink=trace_sink,
         fault_plan=fault_plan if injecting else None,
         fault_seed=fault_seed,
-        injection_sink=injection_sink,
         batch=batch,
-        analyze=_analyze_input,
+        analyze=partial(_analyze_input, tester.conf_overrides),
         analysis_sink=analyses,
     )
     failures, evidence = _merge_analyses(trials, analyses)
-
-    def fault_phase() -> FaultReport | None:
-        if not injecting or fault_plan is None:
-            return None
-        assert injection_sink is not None
-        injected = {
-            index: records
-            for index, records in injection_sink.items()
-            if records
-        }
-        # baseline reruns go through the executor's pooled/laned path:
-        # one sparse batch over warm deployments instead of a fresh
-        # lease per injected trial, so chaos runs don't pay per-trial
-        # cold round trips for their fault-free oracles.
-        indices = sorted(injected)
-        baseline_outcomes = run_trials(
-            [
-                (
-                    trials[index].plan,
-                    trials[index].fmt,
-                    trials[index].test_input,
-                )
-                for index in indices
-            ],
-            tester.conf_overrides,
-            batch=batch,
-        )
-        baselines: dict[int, Outcome] = dict(zip(indices, baseline_outcomes))
-        verdicts = fault_robustness(trials, injected, baselines)
-        return FaultReport(
-            plan=fault_plan,
-            seed=fault_seed,
-            injections=injected,
-            verdicts=verdicts,
-            trial_keys={
-                index: (
-                    f"{trials[index].plan.name}/{trials[index].fmt}/"
-                    f"{trials[index].test_input.input_id}"
-                )
-                for index in injected
-            },
-        )
-
-    oracle_spans: tuple[Span, ...] = ()
-    if tracing:
-        with Tracer(trace_id="crosstest/oracles") as oracle_tracer:
-            faults = fault_phase()
-        oracle_spans = tuple(
-            span
-            for position in range(len(analyses))
-            for span in analyses[position].spans
-        ) + tuple(oracle_tracer.finished)
-    else:
-        faults = fault_phase()
+    faults = None
+    if injecting and fault_plan is not None:
+        faults = _merge_faults(trials, analyses, fault_plan, fault_seed)
     return CrossTestReport(
         trials=trials,
         failures=failures,
         evidence=evidence,
         traces=trace_sink,
-        oracle_spans=oracle_spans,
+        oracle_spans=tuple(
+            span
+            for position in range(len(analyses))
+            for span in analyses[position].spans
+        ),
         faults=faults,
     )

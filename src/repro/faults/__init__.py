@@ -15,8 +15,6 @@ from .core import (
     InjectionRecord,
     apply_torn_write,
     current_injector,
-    decode_injection_batches,
-    encode_injection_batches,
     fault_point,
     injection_active,
 )
@@ -48,8 +46,6 @@ __all__ = [
     "InjectionRecord",
     "apply_torn_write",
     "current_injector",
-    "decode_injection_batches",
-    "encode_injection_batches",
     "fault_point",
     "injection_active",
     "BoundaryError",

@@ -16,7 +16,6 @@ workers there are, or what ran before it in the same process.
 
 from __future__ import annotations
 
-import json
 import threading
 from contextvars import ContextVar, Token
 from dataclasses import dataclass
@@ -33,8 +32,6 @@ __all__ = [
     "injection_active",
     "current_injector",
     "apply_torn_write",
-    "encode_injection_batches",
-    "decode_injection_batches",
 ]
 
 
@@ -63,38 +60,6 @@ class InjectionRecord:
             kind=payload["kind"],
             visit=payload["visit"],
         )
-
-
-def encode_injection_batches(
-    batches: list[tuple["InjectionRecord", ...]],
-) -> bytes:
-    """Per-trial injection tuples as one compact JSON blob.
-
-    The shard-result wire format for fault schedules, mirroring
-    :func:`repro.tracing.export.encode_span_batches`: records are
-    field tuples (site, operation, kind, visit), encoded once per shard
-    instead of pickled one dataclass instance at a time.
-    """
-    return json.dumps(
-        [
-            [
-                (record.site, record.operation, record.kind, record.visit)
-                for record in batch
-            ]
-            for batch in batches
-        ],
-        separators=(",", ":"),
-    ).encode("utf-8")
-
-
-def decode_injection_batches(
-    blob: bytes,
-) -> list[tuple["InjectionRecord", ...]]:
-    """Inverse of :func:`encode_injection_batches`, batch order kept."""
-    return [
-        tuple(InjectionRecord(*fields) for fields in batch)
-        for batch in json.loads(blob.decode("utf-8"))
-    ]
 
 
 @dataclass(frozen=True)

@@ -57,7 +57,6 @@ from repro.crosstest.fingerprint import (
 from repro.crosstest.harness import Trial
 from repro.crosstest.oracles import all_failures
 from repro.crosstest.plans import ALL_PLANS, FORMATS
-from repro.crosstest.report import FuzzSection
 from repro.crosstest.values import TestInput, generate_inputs
 from repro.fuzz.coverage import CoverageMap, trial_features
 from repro.fuzz.dedup import Baseline
@@ -240,19 +239,60 @@ class FuzzResult:
             "rediscovered": list(self.rediscovered),
         }
 
-    def section(self) -> FuzzSection:
-        return FuzzSection(
-            seed=self.config.seed,
-            budget=self.config.budget,
-            rounds=self.rounds,
-            candidates=self.candidates,
-            trials=self.trials_run,
-            coverage_features=len(self.coverage),
-            distinct_fingerprints=len(self.findings),
-            known_fingerprints=self.known_count,
-            novel=[finding.to_json() for finding in self.novel_findings],
-            rediscovered=self.rediscovered,
-        )
+    def to_json(self) -> dict:
+        """What ``repro fuzz --json`` prints: the campaign's counts and
+        its novel findings."""
+        return {
+            "seed": self.config.seed,
+            "budget": self.config.budget,
+            "rounds": self.rounds,
+            "candidates": self.candidates,
+            "trials": self.trials_run,
+            "coverage_features": len(self.coverage),
+            "distinct_fingerprints": len(self.findings),
+            "known_fingerprints": self.known_count,
+            "novel": [finding.to_json() for finding in self.novel_findings],
+            "rediscovered": list(self.rediscovered),
+        }
+
+    def summary_lines(self) -> list[str]:
+        """What ``repro fuzz`` prints without ``--json``."""
+        novel = self.novel_findings
+        lines = [
+            f"fuzz: seed={self.config.seed} budget={self.config.budget} "
+            f"rounds={self.rounds} candidates={self.candidates} "
+            f"trials={self.trials_run}",
+            f"coverage: {len(self.coverage)} features; "
+            f"fingerprints: {len(self.findings)} distinct "
+            f"({self.known_count} known, {len(novel)} novel)",
+            "rediscovered known discrepancies: "
+            + (
+                ", ".join(f"#{n}" for n in self.rediscovered)
+                if self.rediscovered
+                else "none"
+            ),
+        ]
+        # fingerprints that differ only in format/plan pair render the
+        # same mechanism line — fold them and count the variants
+        rendered: dict[tuple[str, str], int] = {}
+        for finding in novel:
+            fingerprint = finding.fingerprint
+            minimal = (
+                finding.shrunk
+                if finding.shrunk is not None
+                else finding.witness
+            )
+            head = (
+                f"  NOVEL {fingerprint.oracle} {fingerprint.type_shape} "
+                f"[{fingerprint.evidence}]"
+                + (f" conf={fingerprint.conf}" if fingerprint.conf else "")
+            )
+            repro = f"    repro: {minimal.type_text} = {minimal.sql_literal}"
+            rendered[(head, repro)] = rendered.get((head, repro), 0) + 1
+        for (head, repro), count in rendered.items():
+            lines.append(head + (f" x{count}" if count > 1 else ""))
+            lines.append(repro)
+        return lines
 
 
 def _build_candidate(
@@ -567,10 +607,14 @@ class CandidateAnalysis:
 
 
 def _analyze_candidate(
-    label: str, trials: list[Trial], traces: list[tuple[Span, ...]]
+    label: str,
+    trials: list[Trial],
+    traces: list[tuple[Span, ...]],
+    injections: None,
 ) -> CandidateAnalysis:
     """Analyze one candidate's trials (every plan × format, in order)
     and their raw spans, under the round's fingerprint ``label``.
+    Rounds inject no faults, so ``injections`` is always ``None``.
 
     The executor calls this in the worker (``execute(analyze=,
     traced=True)``), so it must pickle by reference. It reaches the

@@ -13,7 +13,7 @@ INPUTS = generate_inputs()[:6] + generate_inputs()[210:214]
 PLAIN = {"repro.plan.cache.enabled": "false"}
 
 
-def _trace_ids(trials, traces):
+def _trace_ids(trials, traces, injections):
     """A picklable analysis: each trial's cell and its spans' trace ids."""
     return [
         (trial.plan.name, trial.fmt, sorted({span.trace_id for span in spans}))
@@ -21,13 +21,14 @@ def _trace_ids(trials, traces):
     ]
 
 
-def _cells(trials, traces):
+def _cells(trials, traces, injections):
     """A picklable analysis: the input, its trials' cells, and whether
-    spans came along."""
+    spans and injections (one entry per trial) came along."""
     return (
         {trial.test_input.input_id for trial in trials},
         [(trial.plan.name, trial.fmt) for trial in trials],
         traces is not None,
+        injections is not None and len(injections) == len(trials),
     )
 
 
@@ -70,13 +71,14 @@ def test_input_tasks_keep_the_matrix_order_and_analyze_traced_trials(
         {},
         {"batch": False},
         {"trace_sink": {}},
-        {"fault_plan": BUILTIN_PLANS["smoke"], "injection_sink": {}},
+        {"fault_plan": BUILTIN_PLANS["smoke"]},
     ],
     ids=["lanes", "unbatched", "traced", "faulted"],
 )
 def test_every_pass_analyzes_each_input_once_in_cell_order(options):
     # shared lanes put several inputs in one shard; each still gets
-    # one call over its own 24 trials, spans only when traced
+    # one call over its own 24 trials, spans only when traced and
+    # injections only when faulted
     analyses = {}
     trials = execute(
         ALL_PLANS, FORMATS, INPUTS, jobs=2, pool="thread",
@@ -85,8 +87,9 @@ def test_every_pass_analyzes_each_input_once_in_cell_order(options):
     cells = [(plan.name, fmt) for plan in ALL_PLANS for fmt in FORMATS]
     assert len(trials) == len(cells) * len(INPUTS)
     traced = "trace_sink" in options
+    faulted = "fault_plan" in options
     assert analyses == {
-        index: ({test_input.input_id}, cells, traced)
+        index: ({test_input.input_id}, cells, traced, faulted)
         for index, test_input in enumerate(INPUTS)
     }
     if traced:

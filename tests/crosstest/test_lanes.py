@@ -320,9 +320,6 @@ class TestRunTrials:
         (PLANS_BY_NAME["w_hive_r_sql"], "avro", make_input(sql="3", py=3, input_id=4)),
     ]
 
-    def test_batched_matches_isolated(self):
-        assert run_trials(self.SPECS) == run_trials(self.SPECS, batch=False)
-
     def test_outcomes_in_spec_order(self):
         outcomes = run_trials(self.SPECS)
         assert [o.value for o in outcomes if o.ok] == [1, "x", 2, 3]

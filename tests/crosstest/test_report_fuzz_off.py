@@ -1,66 +1,13 @@
-"""The §8 report is byte-identical with fuzzing off.
+"""The §8 report carries no fuzz artifacts.
 
-The ``fuzz`` section of :class:`CrossTestReport` is attached only by
-``repro fuzz``; a plain replication run must serialize and render
-exactly as it did before the section existed.
+``repro fuzz`` renders its own result (:class:`~repro.fuzz.FuzzResult`);
+a plain replication run must serialize and render only the §8 report.
 """
-
-import json
-
-from repro.crosstest.report import CrossTestReport, FuzzSection
 
 
 def test_standard_report_has_no_fuzz_artifacts(full_report):
     payload = full_report.to_json()
     assert "fuzz" not in payload
-    assert full_report.fuzz is None
     text = "\n".join(full_report.summary_lines())
     assert "fuzz:" not in text
     assert "NOVEL" not in text
-
-
-def test_attached_fuzz_section_is_additive_only(full_report):
-    plain_payload = json.dumps(full_report.to_json(), sort_keys=True)
-    plain_summary = full_report.summary_lines()
-    section = FuzzSection(
-        seed=1, budget=8, rounds=1, candidates=8, trials=192,
-        coverage_features=10, distinct_fingerprints=3,
-        known_fingerprints=3,
-    )
-    with_fuzz = CrossTestReport(
-        trials=full_report.trials,
-        failures=full_report.failures,
-        evidence=full_report.evidence,
-        fuzz=section,
-    )
-    payload = with_fuzz.to_json()
-    assert payload["fuzz"] == section.to_json()
-    # everything except the fuzz key is the fuzz-off payload, byte
-    # for byte
-    del payload["fuzz"]
-    assert json.dumps(payload, sort_keys=True) == plain_payload
-    # the summary gains only the fuzz lines, appended
-    fuzz_lines = section.summary_lines()
-    assert with_fuzz.summary_lines() == plain_summary + fuzz_lines
-
-
-def test_fuzz_section_json_roundtrips_novel_entries():
-    section = FuzzSection(
-        seed=2, budget=16, rounds=2, candidates=16, trials=384,
-        coverage_features=5, distinct_fingerprints=2,
-        known_fingerprints=1,
-        novel=[{
-            "fingerprint": {
-                "oracle": "difft", "type": "smallint",
-                "evidence": "e", "conf": "",
-            },
-            "shrunk": {"type_text": "smallint", "sql_literal": "0S"},
-        }],
-        rediscovered=(1, 13),
-    )
-    payload = section.to_json()
-    assert payload["rediscovered"] == [1, 13]
-    lines = section.summary_lines()
-    assert any(line.startswith("  NOVEL difft smallint") for line in lines)
-    assert any("repro: smallint = 0S" in line for line in lines)
-    assert any("#1, #13" in line for line in lines)

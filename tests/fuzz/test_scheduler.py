@@ -10,6 +10,8 @@ import json
 
 import pytest
 
+from repro.crosstest.fingerprint import Fingerprint
+from repro.crosstest.values import TestInput
 from repro.fuzz import (
     FUZZ_ID_BASE,
     Baseline,
@@ -18,7 +20,13 @@ from repro.fuzz import (
     run_fuzz,
 )
 from repro.fuzz import scheduler
-from repro.fuzz.scheduler import CrossTestMetrics, trace_witness
+from repro.fuzz.coverage import CoverageMap
+from repro.fuzz.scheduler import (
+    CrossTestMetrics,
+    FuzzFinding,
+    FuzzResult,
+    trace_witness,
+)
 
 
 def _records_bytes(result):
@@ -136,14 +144,47 @@ def test_novelty_follows_the_baseline():
 
 def test_fuzz_section_summarizes_the_campaign():
     result = _campaign(jobs=1, budget=8, batch=8)
-    section = result.section()
-    payload = section.to_json()
+    payload = result.to_json()
     assert payload["seed"] == 11
     assert payload["candidates"] == 8
     assert payload["distinct_fingerprints"] == len(result.findings)
-    lines = section.summary_lines()
+    lines = result.summary_lines()
     assert lines[0].startswith("fuzz: seed=11")
     assert any("fingerprints:" in line for line in lines)
+
+
+def test_fuzz_result_renders_novel_findings():
+    witness = TestInput(FUZZ_ID_BASE, "smallint", "7S", 7, True)
+    shrunk = TestInput(FUZZ_ID_BASE, "smallint", "0S", 0, True)
+    findings = {}
+    for fmt in ("orc", "avro"):
+        fingerprint = Fingerprint(
+            "difft", "spark_hive", fmt, ("w_sql_r_sql", "w_df_r_df"),
+            "smallint", "e",
+        )
+        findings[fingerprint.key] = FuzzFinding(
+            fingerprint, witness, {}, round_index=1, novel=True,
+            shrunk=shrunk,
+        )
+    result = FuzzResult(
+        config=FuzzConfig(seed=2, budget=16),
+        rounds=2,
+        candidates=16,
+        trials_run=384,
+        coverage=CoverageMap(),
+        findings=findings,
+        rediscovered=(1, 13),
+    )
+    payload = result.to_json()
+    assert payload["rediscovered"] == [1, 13]
+    assert [f["shrunk"]["sql_literal"] for f in payload["novel"]] == [
+        "0S", "0S"
+    ]
+    lines = result.summary_lines()
+    # the two formats' variants fold into one mechanism line
+    assert "  NOVEL difft smallint [e] x2" in lines
+    assert "    repro: smallint = 0S" in lines
+    assert any("#1, #13" in line for line in lines)
 
 
 def test_config_rejects_nonpositive_budget_and_batch():
