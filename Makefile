@@ -78,7 +78,10 @@ perfbench-tests:
 # the CI chaos job's gates, locally: seeded fault matrix over the
 # distilled corpus, gated on mis-handled trials, run at jobs 2, 4 and 1
 # (verdicts from pool workers, then from this process) and traced —
-# every fault report must be byte-identical
+# every fault report must be byte-identical. Then the sweep over the
+# other builtin plans, which reach the Hive, serde and HDFS sites: not
+# gated on mis-handled trials (torn writes and stale reads cause them
+# by design), but each plan's report must be identical at jobs 2 and 1
 chaos:
 	$(PYTHON) -m repro crosstest --corpus smoke --jobs 2 \
 		--faults smoke --fault-seed 1337 --quiet \
@@ -98,6 +101,16 @@ chaos:
 		--trace-dir chaos-trace
 	diff fault-report.json fault-report-traced.json
 	$(PYTHON) -m repro trace summarize chaos-trace
+	set -e; for plan in metastore-brownout torn-writes stale-metastore \
+			chaos; do \
+		$(PYTHON) -m repro crosstest --corpus smoke --jobs 2 \
+			--faults $$plan --fault-seed 7 --quiet \
+			--fault-json fault-report-$$plan.json; \
+		$(PYTHON) -m repro crosstest --corpus smoke --jobs 1 \
+			--faults $$plan --fault-seed 7 --quiet \
+			--fault-json fault-report-$$plan-j1.json; \
+		diff fault-report-$$plan.json fault-report-$$plan-j1.json; \
+	done
 
 # the CI fuzz-smoke job, locally: the canonical fixed-seed campaign,
 # gated on novel fingerprints (exit 4 = a discrepancy the committed

@@ -52,15 +52,6 @@ class InjectionRecord:
             "visit": self.visit,
         }
 
-    @classmethod
-    def from_json(cls, payload: dict) -> "InjectionRecord":
-        return cls(
-            site=payload["site"],
-            operation=payload["operation"],
-            kind=payload["kind"],
-            visit=payload["visit"],
-        )
-
 
 @dataclass(frozen=True)
 class FaultAction:
@@ -208,8 +199,8 @@ def injection_active() -> bool:
     Engines consult this to bypass their plan caches: prepared-plan
     reuse would skip prepare-time fault points on cache hits, making
     the schedule depend on cache history (which varies with worker
-    count). PR 2 pinned cache-on/off byte-identity, so bypassing is
-    outcome-neutral.
+    count). Bypassed statements still go through prepare and execute,
+    the same path as on a cache miss; only reuse is skipped.
     """
     if not _ACTIVE_INJECTORS:
         return False

@@ -39,10 +39,10 @@ __all__ = ["EVENT_ATTRS", "CoverageMap", "trial_features"]
 #: ``create.replayed``, ``fault.*`` — is invisible to coverage: those
 #: events describe cache/replay state, which depends on what a worker
 #: process executed before, not on the input under test. (The scheduler
-#: additionally pins the analysis path itself by running every fuzz
-#: batch with ``repro.plan.cache.enabled=false``, so analysis-time
-#: spans and events fire on every trial instead of only on cache
-#: misses.)
+#: additionally runs every fuzz batch with
+#: ``repro.plan.cache.enabled=false``: each statement is still prepared
+#: and executed, but its plan is never reused, so analysis-time spans
+#: and events fire on every trial instead of only on cache misses.)
 EVENT_ATTRS: dict[str, tuple[str, ...]] = {
     "cast.store_assignment": ("policy", "ansi"),
     "orc.positional_rename": ("prefix",),

@@ -644,9 +644,10 @@ def _execution_conf(conf_overrides: dict[str, object]) -> dict[str, object]:
 
     Cache hits skip analysis-time spans/events, and cache warmth
     depends on worker history (even fork inheritance), which would make
-    the coverage map vary with --jobs. Outcome-neutral (cached and
-    uncached plans give byte-identical results), and excluded from the
-    fingerprint label.
+    the coverage map vary with --jobs. With the cache off every
+    statement still goes through prepare and execute, the path a cache
+    miss takes, so the setting changes only reuse; it is excluded from
+    the fingerprint label.
     """
     exec_conf = dict(conf_overrides)
     exec_conf["repro.plan.cache.enabled"] = "false"

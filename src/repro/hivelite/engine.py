@@ -92,6 +92,9 @@ class _PreparedCreate:
                 sp.attributes.update(
                     table=self.name, fmt=self.storage_format
                 )
+            # a no-op unless faults are injected, and an injected run
+            # never replays a cached plan
+            fault_point("hive->metastore", "create_table")
             # replay fast path: after the first (fully validated)
             # creation, re-register the identical frozen Table value
             table = self.__dict__.get("_table")
@@ -205,11 +208,10 @@ class HiveServer:
                 # DROP is pure side effect; there is no analysis to reuse.
                 return self._drop(statement)
             if not self.plan_cache_enabled or injection_active():
-                # see SparkSession.sql: cached-plan replay would skip
-                # prepare-time fault points, entangling the fault
-                # schedule with cache history; bypassing is
-                # outcome-neutral (PR 2 byte-identity)
-                return self._execute_uncached(statement)
+                # see SparkSession.sql: the same prepare -> execute
+                # path, minus reuse, so the fault schedule never
+                # depends on cache history
+                return self._prepare(statement).execute(self)
             fingerprint = (self.database, self.default_format)
             version = self.metastore.catalog_version
             plan = self.plan_cache.lookup(
@@ -219,7 +221,8 @@ class HiveServer:
                 trace_event(
                     "plan_cache.miss", conf_fingerprint=str(fingerprint)
                 )
-                plan, deps = self._prepare(statement)
+                deps = self._deps(statement)
+                plan = self._prepare(statement)
                 self.plan_cache.store(sql, fingerprint, version, deps, plan)
             else:
                 trace_event(
@@ -227,23 +230,19 @@ class HiveServer:
                 )
             return plan.execute(self)
 
-    def _execute_uncached(self, statement) -> QueryResult:
-        if isinstance(statement, CreateTable):
-            return self._create(statement)
-        if isinstance(statement, Insert):
-            return self._insert(statement)
-        if isinstance(statement, Select):
-            return self._select(statement)
-        raise QueryError(f"unsupported statement {statement!r}")
-
     # -- prepared execution ----------------------------------------------
 
     def _dependency_state(self, dep_key: tuple[str, str]):
         database, name = dep_key
         return self.metastore.table_state(name, database)
 
-    def _table_deps(self, name: str):
-        dep_key = (self.database, name)
+    def _deps(self, statement):
+        """The dependency fingerprints a cached plan is stored under;
+        CREATE has none (the metastore checks existence at execute
+        time)."""
+        if isinstance(statement, CreateTable):
+            return ()
+        dep_key = (self.database, statement.table)
         return ((dep_key, self._dependency_state(dep_key)),)
 
     def _prepare(self, statement):
@@ -256,43 +255,36 @@ class HiveServer:
         raise QueryError(f"unsupported statement {statement!r}")
 
     def _prepare_create(self, statement: CreateTable):
-        # CREATE analysis reads no catalog state: existence is checked
-        # by the metastore at execute time, so the dep set is empty.
         try:
             schema, fmt, properties, partition_schema = self._analyze_create(
                 statement
             )
         except Exception as exc:
-            return PreparedFailure(exc), ()
-        return (
-            _PreparedCreate(
-                name=statement.table,
-                schema=schema,
-                storage_format=fmt,
-                properties=tuple(sorted(properties.items())),
-                if_not_exists=statement.if_not_exists,
-                partition_schema=partition_schema,
-            ),
-            (),
+            return PreparedFailure(exc)
+        return _PreparedCreate(
+            name=statement.table,
+            schema=schema,
+            storage_format=fmt,
+            properties=tuple(sorted(properties.items())),
+            if_not_exists=statement.if_not_exists,
+            partition_schema=partition_schema,
         )
 
     def _prepare_insert(self, statement: Insert):
-        deps = self._table_deps(statement.table)
         try:
             table, partition, rows = self._analyze_insert(statement)
             serializer = serializer_for(table.storage_format)
             blob = self._serialize(serializer, table.schema, rows)
         except Exception as exc:
-            return PreparedFailure(exc), deps
-        return _PreparedInsert(table, blob, partition, statement.overwrite), deps
+            return PreparedFailure(exc)
+        return _PreparedInsert(table, blob, partition, statement.overwrite)
 
     def _prepare_select(self, statement: Select):
-        deps = self._table_deps(statement.table)
         try:
             table = self._get_table(statement.table)
         except Exception as exc:
-            return PreparedFailure(exc), deps
-        return _PreparedSelect(table, statement), deps
+            return PreparedFailure(exc)
+        return _PreparedSelect(table, statement)
 
     def _get_table(self, name: str) -> Table:
         """Catalog lookup, as a traced Hive→metastore call."""
@@ -348,32 +340,6 @@ class HiveServer:
         )
         return schema, fmt, dict(statement.properties), partition_schema
 
-    def _create(self, statement: CreateTable) -> QueryResult:
-        schema, fmt, properties, partition_schema = self._analyze_create(
-            statement
-        )
-        with trace_span(
-            "hive.metastore.create_table",
-            system="hive",
-            peer_system="hive-metastore",
-            operation="create_table",
-            boundary="hive->metastore",
-        ) as sp:
-            if sp is not None:
-                sp.attributes.update(table=statement.table, fmt=fmt)
-            fault_point("hive->metastore", "create_table")
-            self.metastore.create_table(
-                statement.table,
-                schema,
-                fmt,
-                database=self.database,
-                properties=properties,
-                owner="hive",
-                if_not_exists=statement.if_not_exists,
-                partition_schema=partition_schema,
-            )
-        return self._empty_result()
-
     def _drop(self, statement: DropTable) -> QueryResult:
         if self.metastore.table_exists(statement.table, self.database):
             table = self.metastore.get_table(statement.table, self.database)
@@ -407,35 +373,6 @@ class HiveServer:
                 values.append(kernel(typed.value))
             rows.append(tuple(values))
         return table, partition, rows
-
-    def _insert(self, statement: Insert) -> QueryResult:
-        table, partition, rows = self._analyze_insert(statement)
-        serializer = serializer_for(table.storage_format)
-        blob = self._serialize(serializer, table.schema, rows)
-        with trace_span(
-            "hive.warehouse.write",
-            system="hive",
-            peer_system="hdfs",
-            operation="write_segment",
-            boundary="hive->hdfs",
-        ) as sp:
-            if sp is not None:
-                sp.attributes.update(
-                    table=table.name,
-                    fmt=table.storage_format,
-                    bytes=len(blob),
-                    overwrite=statement.overwrite,
-                )
-            action = fault_point(
-                "hive->hdfs", "write_segment", ("torn_write",)
-            )
-            if action is not None and action.kind == "torn_write":
-                blob = apply_torn_write(blob, action)
-                trace_event("fault.torn_write", bytes_kept=len(blob))
-            if statement.overwrite:
-                self.warehouse.truncate(table, partition)
-            self.warehouse.write_segment(table, blob, partition)
-        return self._empty_result()
 
     def _resolve_partition_spec(self, table, statement: Insert) -> str | None:
         """Turn ``PARTITION (p='01', ...)`` into a directory chain."""
@@ -490,10 +427,6 @@ class HiveServer:
             return blob
 
     # -- queries --------------------------------------------------------------
-
-    def _select(self, statement: Select) -> QueryResult:
-        table = self._get_table(statement.table)
-        return self._execute_select(table, statement)
 
     def _execute_select(self, table: Table, statement: Select) -> QueryResult:
         serializer = serializer_for(table.storage_format)

@@ -104,32 +104,9 @@ class _PreparedInsert:
     overwrite: bool
 
     def execute(self, session: "SparkSession") -> QueryResult:
-        with trace_span(
-            "spark.warehouse.write",
-            system="spark",
-            peer_system="hdfs",
-            operation="write_segment",
-            boundary="spark->hdfs",
-        ) as sp:
-            if sp is not None:
-                sp.attributes.update(
-                    table=self.resolved.table.name,
-                    fmt=self.resolved.table.storage_format,
-                    bytes=len(self.blob),
-                    overwrite=self.overwrite,
-                )
-            blob = self.blob
-            action = fault_point(
-                "spark->hdfs", "write_segment", ("torn_write",)
-            )
-            if action is not None and action.kind == "torn_write":
-                blob = apply_torn_write(blob, action)
-                trace_event("fault.torn_write", bytes_kept=len(blob))
-            if self.overwrite:
-                session.warehouse.truncate(self.resolved.table, self.partition)
-            session.warehouse.write_segment(
-                self.resolved.table, blob, self.partition
-            )
+        session._write_blob(
+            self.resolved, self.blob, self.overwrite, self.partition
+        )
         return session._empty("sparksql")
 
 
@@ -181,12 +158,12 @@ class SparkSession:
                 # DROP is pure side effect; there is no analysis to reuse.
                 return self._sql_drop(statement)
             if not self.conf.plan_cache_enabled or injection_active():
-                # under fault injection, cached-plan replay would skip
-                # prepare-time fault points on hits and make the fault
-                # schedule depend on cache history (which varies with
-                # worker count); cache on/off is byte-identical (PR 2),
-                # so bypassing is outcome-neutral
-                return self._sql_uncached(statement)
+                # prepare -> execute, minus reuse: under fault injection
+                # a cached plan would skip prepare-time fault points on
+                # hits, tying the fault schedule to cache history (which
+                # varies with worker count). No local holds the plan, so
+                # a failure's traceback never leads back to its error.
+                return self._prepare(statement).execute(self)
             fingerprint = self.conf.fingerprint()
             version = self.metastore.catalog_version
             plan = self.plan_cache.lookup(
@@ -196,7 +173,8 @@ class SparkSession:
                 trace_event(
                     "plan_cache.miss", conf_fingerprint=str(fingerprint)
                 )
-                plan, deps = self._prepare(statement)
+                deps = self._deps(statement)
+                plan = self._prepare(statement)
                 self.plan_cache.store(text, fingerprint, version, deps, plan)
             else:
                 trace_event(
@@ -204,29 +182,25 @@ class SparkSession:
                 )
             return plan.execute(self)
 
-    def _sql_uncached(self, statement) -> QueryResult:
-        if isinstance(statement, CreateTable):
-            return self._sql_create(statement)
-        if isinstance(statement, Insert):
-            return self._sql_insert(statement)
-        if isinstance(statement, Select):
-            return self._sql_select(statement)
-        raise QueryError(f"unsupported statement {statement!r}")
-
     # -- prepared execution ------------------------------------------------
 
     def _dependency_state(self, dep_key: tuple[str, str]):
         database, name = dep_key
         return self.metastore.table_state(name, database)
 
-    def _table_deps(self, name: str):
-        dep_key = (self.database, name)
+    def _deps(self, statement):
+        """The dependency fingerprints a cached plan is stored under: the
+        state of the table the statement names. CREATE analysis reads no
+        catalog state (the metastore checks existence at execute time),
+        so it has none."""
+        if isinstance(statement, CreateTable):
+            return ()
+        dep_key = (self.database, statement.table)
         return ((dep_key, self._dependency_state(dep_key)),)
 
     def _prepare(self, statement):
-        """Analyze one statement into a (plan, dependency fingerprints)
-        pair; deterministic analysis failures become cacheable
-        :class:`PreparedFailure` plans."""
+        """Analyze one statement into a plan; deterministic analysis
+        failures become cacheable :class:`PreparedFailure` plans."""
         if isinstance(statement, CreateTable):
             return self._prepare_create(statement)
         if isinstance(statement, Insert):
@@ -236,33 +210,26 @@ class SparkSession:
         raise QueryError(f"unsupported statement {statement!r}")
 
     def _prepare_create(self, statement: CreateTable):
-        # CREATE analysis reads no catalog state: existence is checked
-        # by the metastore at execute time, so the dep set is empty.
         try:
             spec = self._analyze_create(statement)
         except Exception as exc:
-            return PreparedFailure(exc), ()
-        return _PreparedCreate(spec), ()
+            return PreparedFailure(exc)
+        return _PreparedCreate(spec)
 
     def _prepare_insert(self, statement: Insert):
-        deps = self._table_deps(statement.table)
         try:
             resolved, rows, partition = self._analyze_insert(statement)
             blob = self._encode_rows(resolved, rows)
         except Exception as exc:
-            return PreparedFailure(exc), deps
-        return (
-            _PreparedInsert(resolved, blob, partition, statement.overwrite),
-            deps,
-        )
+            return PreparedFailure(exc)
+        return _PreparedInsert(resolved, blob, partition, statement.overwrite)
 
     def _prepare_select(self, statement: Select):
-        deps = self._table_deps(statement.table)
         try:
             resolved = self.connector.resolve(statement.table, self.database)
         except Exception as exc:
-            return PreparedFailure(exc), deps
-        return _PreparedSelect(resolved, statement), deps
+            return PreparedFailure(exc)
+        return _PreparedSelect(resolved, statement)
 
     def _evaluator(self) -> LiteralEvaluator:
         ansi = bool(self.conf.get("spark.sql.ansi.enabled"))
@@ -308,10 +275,6 @@ class SparkSession:
             partition_schema=partition_schema,
         )
 
-    def _sql_create(self, statement: CreateTable) -> QueryResult:
-        self.connector.execute_create(self._analyze_create(statement))
-        return self._empty("sparksql")
-
     def _sql_drop(self, statement: DropTable) -> QueryResult:
         if self.metastore.table_exists(statement.table, self.database):
             table = self.metastore.get_table(statement.table, self.database)
@@ -351,13 +314,6 @@ class SparkSession:
                 values.append(self._sql_store(typed, column_type, policy))
             rows.append(tuple(values))
         return resolved, rows, partition
-
-    def _sql_insert(self, statement: Insert) -> QueryResult:
-        resolved, rows, partition = self._analyze_insert(statement)
-        self._write_rows(
-            resolved, rows, overwrite=statement.overwrite, partition=partition
-        )
-        return self._empty("sparksql")
 
     def _resolve_partition_spec(
         self, table, statement: Insert, evaluator, policy
@@ -402,10 +358,6 @@ class SparkSession:
                 return target.pad(text)
             return text
         return store_assign(typed.value, typed.data_type, target, policy)
-
-    def _sql_select(self, statement: Select) -> QueryResult:
-        resolved = self.connector.resolve(statement.table, self.database)
-        return self._execute_select(resolved, statement)
 
     def _execute_select(
         self, resolved: ResolvedTable, statement: Select
@@ -575,7 +527,18 @@ class SparkSession:
         overwrite: bool,
         partition: str | None = None,
     ) -> None:
-        blob = self._encode_rows(resolved, rows)
+        self._write_blob(
+            resolved, self._encode_rows(resolved, rows), overwrite, partition
+        )
+
+    def _write_blob(
+        self,
+        resolved: ResolvedTable,
+        blob: bytes,
+        overwrite: bool,
+        partition: str | None,
+    ) -> None:
+        """Append one encoded segment, as a traced Spark→HDFS write."""
         with trace_span(
             "spark.warehouse.write",
             system="spark",

@@ -32,6 +32,12 @@ column types — hits on every state it has seen before instead of
 thrashing a single slot. Serving a stale plan is structurally
 impossible: a plan is only ever served for the exact catalog state it
 was compiled against.
+
+The cache decides reuse and nothing else: the engines prepare every
+statement but DROP into a plan and execute it, on one path per
+statement kind. With the cache off (``repro.plan.cache.enabled=false``)
+or a fault plan active they skip only the lookup and the store, so
+"cache off" differs from the default only in reuse.
 """
 
 from __future__ import annotations
@@ -78,23 +84,32 @@ class CacheStats:
 
 @dataclass(frozen=True)
 class PreparedFailure:
-    """A statement whose *analysis* failed deterministically.
+    """A statement whose *analysis* failed.
 
     Analysis errors (arity mismatch, ANSI cast overflow, strict literal
     parse failure, unresolvable table) are a function of the statement
     text, the configuration and the dependency fingerprint — exactly the
-    cache key — so the failure itself is cacheable. ``execute`` re-raises
-    the original exception object: type and message, which is all the
-    harness observes, replay identically. Each replay starts from a
-    cleared traceback; otherwise every replay would extend the cached
-    object's traceback and keep all earlier replays' frames alive.
+    cache key — so the failure itself is cacheable. When nothing is
+    cached (cache off, or a fault plan active) the plan only carries the
+    error from prepare to execute; under injection that error may itself
+    be injected. ``execute`` re-raises the original exception object:
+    type and message, which is all the harness observes, replay
+    identically. Each replay starts from a cleared traceback; otherwise
+    every replay would extend the cached object's traceback and keep all
+    earlier replays' frames alive.
     """
 
     error: Exception
 
     def execute(self, engine: object) -> object:
         del engine
-        raise self.error.with_traceback(None)
+        try:
+            raise self.error.with_traceback(None)
+        finally:
+            # the traceback keeps this frame; without ``self`` in it an
+            # uncached failure is freed by reference counting instead
+            # of lingering as cyclic garbage until the next collection
+            del self
 
 
 @dataclass

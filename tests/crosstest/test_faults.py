@@ -1,12 +1,22 @@
 """Fault-injected cross-test runs: byte identity, reproducibility,
-robustness classification, and process-pool record shipping."""
+robustness classification, process-pool record shipping, and which
+fault sites the harness reaches."""
 
 import json
 
+import pytest
+
 from repro.crosstest import CrossTestMetrics
 from repro.crosstest.report import run_crosstest
+from repro.crosstest.smoke import smoke_inputs
 from repro.crosstest.values import generate_inputs
-from repro.faults import BUILTIN_PLANS, EMPTY_PLAN, FaultPlan, FaultRule
+from repro.faults import (
+    BUILTIN_PLANS,
+    EMPTY_PLAN,
+    KNOWN_SITES,
+    FaultPlan,
+    FaultRule,
+)
 
 
 def _subset_inputs(count=12):
@@ -202,3 +212,55 @@ class TestRobustness:
         assert any("fault plan: stale-metastore" in line for line in lines)
         if report.faults.mis_handled():
             assert any("MIS-HANDLED" in line for line in lines)
+
+
+_NO_HBASE = "no §8 plan goes through the Hive-HBase storage handler"
+_NO_YARN = "no §8 trial runs a YARN application master"
+_UNPARTITIONED = "§8 trial tables are unpartitioned"
+
+#: the known sites no §8 trial crosses, and why
+_OUTSIDE_THE_HARNESS = {
+    ("hive->hbase", "put"): _NO_HBASE,
+    ("hive->hbase", "scan"): _NO_HBASE,
+    ("am->rm", "report_final_status"): _NO_YARN,
+    ("am->rm", "request_containers"): _NO_YARN,
+    ("spark->hdfs", "read_partitioned_segments"): _UNPARTITIONED,
+    ("hive->hdfs", "read_partitioned_segments"): _UNPARTITIONED,
+}
+
+
+@pytest.mark.parametrize(
+    "site", KNOWN_SITES, ids=lambda site: f"{site.site}:{site.operation}"
+)
+def test_every_harness_site_fires(site):
+    """A one-rule plan on each site the harness crosses fires there.
+
+    A fault point that a refactor drops, or moves onto a path the
+    harness no longer takes, would silently shrink what every fault
+    plan can reach. The exempt sites must stay unreached, so the
+    reasons above keep holding.
+    """
+    plan = FaultPlan(
+        name="one-site",
+        rules=(
+            FaultRule(
+                site.site,
+                "io_error",
+                1.0,
+                operation=site.operation,
+                max_per_trial=1,
+            ),
+        ),
+    )
+    report = run_crosstest(
+        inputs=smoke_inputs(), jobs=1, fault_plan=plan, fault_seed=1
+    )
+    fired = [
+        (record.site, record.operation)
+        for records in report.faults.injections.values()
+        for record in records
+    ]
+    key = (site.site, site.operation)
+    assert set(fired) <= {key}
+    exempt = _OUTSIDE_THE_HARNESS.get(key)
+    assert bool(fired) == (exempt is None), exempt or "no injection fired"

@@ -2,6 +2,8 @@
 the disable flag — the guarantees that keep cached analysis from ever
 masking a §8 discrepancy."""
 
+import gc
+
 import pytest
 
 from repro.sparklite.session import SparkSession
@@ -119,3 +121,53 @@ class TestDisableFlag:
             return out
 
         assert run("true") == run("false")
+
+    @pytest.mark.parametrize(
+        "statement",
+        [
+            "INSERT INTO t VALUES (9999)",  # ANSI store-assignment overflow
+            "INSERT INTO t VALUES (1, 2)",  # arity mismatch
+            "SELECT * FROM missing",
+        ],
+    )
+    def test_failures_identical_with_and_without_cache(self, statement):
+        def failure(session):
+            with pytest.raises(Exception) as info:
+                session.sql(statement)
+            return type(info.value), str(info.value)
+
+        def session(enabled):
+            spark = SparkSession.local()
+            spark.conf.set("repro.plan.cache.enabled", enabled)
+            spark.sql("CREATE TABLE t (a tinyint) STORED AS orc")
+            return spark
+
+        cached = session("true")
+        stats = cached.plan_cache.stats
+        misses = stats.misses
+        miss = failure(cached)
+        assert stats.misses == misses + 1
+        hits = stats.hits
+        replay = failure(cached)
+        assert stats.hits == hits + 1
+        assert failure(session("false")) == miss == replay
+
+    def test_uncached_failure_leaves_no_cyclic_garbage(self, spark):
+        # a failure the cache does not keep must be freed as soon as it
+        # is handled, not left for the cycle collector
+        spark.conf.set("repro.plan.cache.enabled", "false")
+        spark.sql("CREATE TABLE t (a int) STORED AS orc")
+        gc.collect()
+        gc.disable()
+        try:
+            for statement in (
+                "INSERT INTO t VALUES (1, 2)",
+                "SELECT * FROM missing",
+            ):
+                try:
+                    spark.sql(statement)
+                except Exception:
+                    pass
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
