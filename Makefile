@@ -114,14 +114,18 @@ chaos:
 
 # the CI fuzz-smoke job, locally: the canonical fixed-seed campaign,
 # gated on novel fingerprints (exit 4 = a discrepancy the committed
-# baseline doesn't know), run at two worker counts — the fingerprint
-# JSONL must be byte-identical or the campaign lost determinism
+# baseline doesn't know), run at jobs 2 and 4 on process pools and at
+# jobs 1 in this process — the fingerprint JSONL must be byte-identical
+# or the campaign lost determinism
 fuzz-smoke:
 	$(PYTHON) -m repro fuzz --seed 11 --budget 96 --batch 16 \
 		--jobs 2 --quiet --out-dir fuzz-smoke-j2
 	$(PYTHON) -m repro fuzz --seed 11 --budget 96 --batch 16 \
 		--jobs 4 --quiet --out-dir fuzz-smoke-j4
 	diff fuzz-smoke-j2/fingerprints.jsonl fuzz-smoke-j4/fingerprints.jsonl
+	$(PYTHON) -m repro fuzz --seed 11 --budget 96 --batch 16 \
+		--jobs 1 --quiet --out-dir fuzz-smoke-j1
+	diff fuzz-smoke-j2/fingerprints.jsonl fuzz-smoke-j1/fingerprints.jsonl
 
 # the CI status-smoke step, locally: record a plain and a
 # fault-injected smoke run into a fresh campaign ledger, then render

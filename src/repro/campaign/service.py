@@ -196,8 +196,8 @@ class CampaignService:
                 self.checkpoint_path
             )
             expected = self.config.signature()
-            # earlier builds also signed a "lanes" switch; campaign
-            # rounds are traced, so it never changed a batch
+            # earlier builds also signed a "lanes" switch, which never
+            # changed a batch
             found = {
                 key: value
                 for key, value in checkpoint.state["config"].items()

@@ -16,8 +16,8 @@ Because a shard holds every trial of its inputs, per-input work runs in
 the worker that ran the trials: given ``analyze``, :func:`run_shard`
 calls it once per input on that input's trials (the §8 oracles,
 classification and, under a fault plan, the fault-free reruns and
-robustness verdicts for a matrix pass; coverage features and
-fingerprints for a fuzz round), and only its result ships home.
+robustness verdicts for a matrix pass; oracles and fingerprints for a
+fuzz round), and only its result ships home.
 
 Two invariants hold regardless of scheduling:
 
@@ -128,17 +128,11 @@ class Shard:
         ]
 
 
-#: what a worker runs over one input's trials (in cell order), their
-#: spans and their fired injections (each one tuple per trial, or
-#: ``None`` when the run is untraced or no fault plan ran); it must
-#: pickle by reference, and so must its return value
+#: what a worker runs over one input's trials (in cell order) and their
+#: fired injections (one tuple per trial, or ``None`` when no fault plan
+#: ran); it must pickle by reference, and so must its return value
 Analyze = Callable[
-    [
-        list[Trial],
-        list[tuple[Span, ...]] | None,
-        list[tuple[InjectionRecord, ...]] | None,
-    ],
-    object,
+    [list[Trial], list[tuple[InjectionRecord, ...]] | None], object
 ]
 
 
@@ -176,8 +170,8 @@ class ShardResult:
       counts) — deltas rather than totals so results aggregate
       correctly when worker processes keep long-lived pools across
       shards.
-    * ``spans_blob``: only when a traced shard ships its spans — every
-      trial's finished spans encoded once per shard via
+    * ``spans_blob``: only when the shard was traced — every trial's
+      finished spans encoded once per shard via
       :func:`~repro.tracing.export.encode_span_batches`.
     * ``stage_durations``: wall-clock samples per harness stage
       (``create``/``write``/``read``/``reset``), aggregated across the
@@ -190,10 +184,9 @@ class ShardResult:
 
     :meth:`pack` builds the wire form inside the worker and
     :meth:`to_trials` / :meth:`span_batches` rebuild the rich objects
-    parent-side. A shipped span blob makes the encode/decode round trip
-    at *every* ``jobs`` setting (including inline ``jobs=1``), so
+    parent-side. A traced shard's spans make the encode/decode round
+    trip at *every* ``jobs`` setting (including inline ``jobs=1``), so
     exported spans and report bytes cannot depend on ``--jobs``.
-    ``analyze`` reads the raw spans, before any encoding.
     """
 
     index: int
@@ -646,7 +639,6 @@ def run_shard(
     fault_plan: FaultPlan | None = None,
     fault_seed: int = 0,
     analyze: Analyze | None = None,
-    ship_spans: bool = True,
 ) -> ShardResult:
     """Execute one shard, one lane per cell, and analyze it where it ran.
 
@@ -660,10 +652,10 @@ def run_shard(
     number under batching.
 
     With ``tracing``, each trial runs under its own
-    :class:`~repro.tracing.Tracer` (trace id ``plan/fmt/input_id``);
-    with ``ship_spans`` the finished spans ride back on
-    ``ShardResult.spans_blob``. Activation happens here, inside the
-    worker, so tracing survives thread and process pools alike.
+    :class:`~repro.tracing.Tracer` (trace id ``plan/fmt/input_id``),
+    and the finished spans ride back on ``ShardResult.spans_blob``.
+    Activation happens here, inside the worker, so tracing survives
+    thread and process pools alike.
 
     With a non-empty ``fault_plan``, each trial likewise runs under its
     own :class:`~repro.faults.FaultInjector` keyed by the same stable
@@ -676,11 +668,10 @@ def run_shard(
     both, so a traced or fault-injected shard must hold one input
     (:func:`build_shards` cuts them that way).
 
-    With ``analyze``, the worker then calls ``analyze(trials, spans,
+    With ``analyze``, the worker then calls ``analyze(trials,
     injections)`` once per input, on that input's trials in plan →
-    format order, their raw spans (``None`` when untraced) and the
-    injections each trial fired (``None`` when no plan ran), and the
-    results ride home on ``ShardResult.analyses``.
+    format order and the injections each trial fired (``None`` when no
+    plan ran), and the results ride home on ``ShardResult.analyses``.
     """
     injecting = fault_plan is not None and not fault_plan.empty
     width = len(shard.inputs)
@@ -719,12 +710,7 @@ def run_shard(
         if injections is not None and injector is not None:
             injections.append(tuple(injector.records))
     result = ShardResult.pack(
-        shard,
-        outcomes,
-        durations,
-        counts,
-        traces if ship_spans else None,
-        stage_times=stage_times,
+        shard, outcomes, durations, counts, traces, stage_times=stage_times
     )
     if analyze is not None:
         trials = [
@@ -734,7 +720,7 @@ def run_shard(
             )
         ]
         result.analyses = tuple(
-            analyze(trials[column::width], traces, injections)
+            analyze(trials[column::width], injections)
             for column in range(width)
         )
     return result
@@ -1023,7 +1009,6 @@ def execute(
     pool_handle: "WorkerPoolHandle | None" = None,
     analyze: Analyze | None = None,
     analysis_sink: dict[int, object] | None = None,
-    traced: bool = False,
 ) -> list[Trial]:
     """Run the full matrix and return trials in sequential order.
 
@@ -1048,13 +1033,10 @@ def execute(
     trial fired goes to ``analyze`` in its worker, and nowhere else.
 
     ``analyze``, if given, runs in the worker once per input, on that
-    input's trials under every plan × format, their spans and their
-    fired injections (see :func:`run_shard`); ``analysis_sink`` is
-    filled with ``{input position: what analyze returned}``. Per-input
-    analysis needs unique input ids, so a repeated id raises
-    ``ValueError``. ``traced`` traces every trial in its worker even
-    without a ``trace_sink``: ``analyze`` sees the spans, and nothing
-    ships them home (how fuzz rounds collect coverage).
+    input's trials under every plan × format and their fired injections
+    (see :func:`run_shard`); ``analysis_sink`` is filled with ``{input
+    position: what analyze returned}``. Per-input analysis needs unique
+    input ids, so a repeated id raises ``ValueError``.
 
     A process pool built here installs :func:`prewarm_worker` as its
     initializer, so fresh workers start on warm parse and plan caches
@@ -1073,7 +1055,7 @@ def execute(
     inputs = list(inputs)
     if analyze is not None:
         _check_unique_ids(inputs)
-    tracing = traced or trace_sink is not None
+    tracing = trace_sink is not None
     if fault_plan is not None and fault_plan.empty:
         fault_plan = None
     # the shard cap is read here, at call time, so tests can shrink it
@@ -1086,10 +1068,7 @@ def execute(
     )
     if not shards:
         return []
-    args = (
-        conf_overrides, tracing, fault_plan, fault_seed, analyze,
-        trace_sink is not None,
-    )
+    args = (conf_overrides, tracing, fault_plan, fault_seed, analyze)
     run_inputs = len(inputs)
     total_trials = len(shards[0].cells) * run_inputs
     trials: list[Trial | None] = [None] * total_trials
@@ -1108,9 +1087,7 @@ def execute(
         if analysis_sink is not None:
             analysis_sink.update(zip(shard.positions, result.analyses))
         if trace_sink is not None:
-            batches = result.span_batches()
-            if batches is not None:
-                trace_sink.update(zip(indices, batches))
+            trace_sink.update(zip(indices, result.span_batches()))
         if progress is not None:
             progress(done_shards, len(shards), done_trials, total_trials)
 

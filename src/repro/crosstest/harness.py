@@ -250,8 +250,8 @@ class CrossTester:
         runner: ``batch`` lets same-type trials share a lane, while
         traced or fault-injected trials always run as lanes of one.
         ``analyze`` runs in the worker once per input on that input's
-        trials, spans and fired injections (the only way those reach
-        the caller), filling ``analysis_sink`` with ``{input position:
+        trials and fired injections (the only way injections reach the
+        caller), filling ``analysis_sink`` with ``{input position:
         result}`` — see :func:`repro.crosstest.executor.run_shard`.
         """
         from repro.crosstest.executor import execute

@@ -282,15 +282,15 @@ class InputAnalysis:
 
 def _analyze_input(
     conf_overrides: dict[str, object],
+    tracing: bool,
     trials: list[Trial],
-    spans: list[tuple[Span, ...]] | None,
     injections: list[tuple[InjectionRecord, ...]] | None,
 ) -> InputAnalysis:
     """Judge one input's trials (every plan × format, in order).
 
-    :func:`run_crosstest` binds the run's ``conf_overrides`` with
-    :func:`functools.partial`, and the executor calls the result in the
-    worker that ran the trials (see
+    :func:`run_crosstest` binds the run's ``conf_overrides`` and
+    ``tracing`` with :func:`functools.partial`, and the executor calls
+    the result in the worker that ran the trials (see
     :func:`~repro.crosstest.executor.run_shard`), so it must pickle by
     reference. WR and EH judge one trial, Diff and classification
     bucket by input id, and the robustness oracle judges one trial
@@ -300,7 +300,7 @@ def _analyze_input(
     Under a fault plan (``injections`` given), each cell that fired an
     injection re-runs fault-free through :func:`run_trials` on this
     worker's pooled deployments, and :func:`fault_robustness` judges it
-    against that baseline. Under tracing (``spans`` given) the oracles,
+    against that baseline. Under ``tracing`` the oracles,
     classification and robustness verdicts run under their own tracer,
     trace id ``crosstest/oracles/<input id>``, and their spans ride home
     on the result. The reruns run before it opens, so their harness and
@@ -319,7 +319,7 @@ def _analyze_input(
         ]
         baselines = dict(zip(injected, run_trials(specs, conf_overrides)))
     tracer = None
-    if spans is not None:
+    if tracing:
         tracer = Tracer(
             trace_id=f"crosstest/oracles/{trials[0].test_input.input_id}"
         )
@@ -506,7 +506,7 @@ def run_crosstest(
         fault_plan=fault_plan if injecting else None,
         fault_seed=fault_seed,
         batch=batch,
-        analyze=partial(_analyze_input, tester.conf_overrides),
+        analyze=partial(_analyze_input, tester.conf_overrides, tracing),
         analysis_sink=analyses,
     )
     failures, evidence = _merge_analyses(trials, analyses)

@@ -1,84 +1,105 @@
-"""Coverage feedback for the fuzzer, scraped from boundary traces.
+"""Coverage feedback for the fuzzer: the sites each trial reached.
 
 AFL keys its feedback map on branch edges; here the observable units
-are the repo's *cross-system interaction sites*: boundary spans and the
-structured events the seams emit (cast-policy decisions, serde quirks,
-schema replays). A generated input that lights up a ``(site, decision)``
-pair no earlier input reached is promoted into the scheduler's seed
-pool and mutated further.
+are the repo's *cross-system interaction sites*: the boundaries a trial
+crossed and the decisions its seams made (the store-assignment cast
+policy, Hive's positional ORC rename). A generated input that lights
+up a ``(site, decision)`` pair no earlier input reached is promoted
+into the scheduler's seed pool and mutated further.
 
-Extraction runs in the worker that ran the candidate, on its raw
-spans (:func:`repro.fuzz.scheduler._analyze_candidate`): only the
-feature sets travel to the parent, which merges them into the
-:class:`CoverageMap` in trial order. A feature reads only strings and
-bools off a span, so it is the same whether the span was shipped and
-decoded or not.
-
-Feature extraction is deliberately narrower than the trace vocabulary:
-
-* span durations never feed a feature (wall-clock is noise);
-* plan-cache and prepare-memo traffic is excluded — cache warmth
-  depends on worker count and shard order, and a feature that differs
-  between ``--jobs 2`` and ``--jobs 4`` would break the campaign's
-  byte-identical replay guarantee;
-* event attributes pass through a per-event allowlist, so only
-  attributes that are pure functions of ``(input, conf)`` count.
+Like the §8 oracles, coverage judges a trial by its outcome: what it
+crossed follows from its plan, format and conf and the stage its
+outcome reached (the tables below; every crossing completed, as a
+stage fails between boundary calls). So rounds run untraced, and no
+feature depends on ``--jobs`` or on what a worker ran before.
+``tests/fuzz/test_coverage.py`` pins this against traced trials' spans.
 """
 
 from __future__ import annotations
 
+from functools import cache, lru_cache
+
 from repro.crosstest.fingerprint import outcome_shape, type_shape
 from repro.crosstest.harness import Trial
-from repro.tracing.core import Span
+from repro.crosstest.plans import Interface, Plan
+from repro.sparklite.conf import SparkConf
 
-__all__ = ["EVENT_ATTRS", "CoverageMap", "trial_features"]
+__all__ = ["CoverageMap", "trial_features"]
 
-#: structured events that may contribute features, with the attribute
-#: subset that is deterministic for a fixed ``(input, conf)``. Anything
-#: not listed here — ``plan_cache.*``, ``spark.create.memo_*``,
-#: ``create.replayed``, ``fault.*`` — is invisible to coverage: those
-#: events describe cache/replay state, which depends on what a worker
-#: process executed before, not on the input under test. (The scheduler
-#: additionally runs every fuzz batch with
-#: ``repro.plan.cache.enabled=false``: each statement is still prepared
-#: and executed, but its plan is never reused, so analysis-time spans
-#: and events fire on every trial instead of only on cache misses.)
-EVENT_ATTRS: dict[str, tuple[str, ...]] = {
-    "cast.store_assignment": ("policy", "ansi"),
-    "orc.positional_rename": ("prefix",),
+_SQL_WRITE = (
+    ("spark->metastore:create_table",),
+    ("spark->metastore:resolve",),
+    ("spark->serde:encode", "spark->hdfs:write_segment"),
+)
+_SPARK_READ = (
+    "spark->metastore:resolve",
+    "spark->hdfs:read_segments",
+    "spark->serde:decode",
+)
+
+#: writer -> what it crosses in CREATE, in analyzing its write and in
+#: completing it; the DataFrame writer does all three while it saves
+_WRITES = {
+    Interface.SPARKSQL: _SQL_WRITE,
+    Interface.DATAFRAME: ((), (), sum(_SQL_WRITE, ())),
+    Interface.HIVEQL: (
+        ("hive->metastore:create_table",),
+        ("hive->metastore:get_table",),
+        ("hive->serde:encode", "hive->hdfs:write_segment"),
+    ),
+}
+
+#: reader -> what its read crosses; a read that failed had decoded
+_READS = {
+    Interface.SPARKSQL: _SPARK_READ,
+    Interface.DATAFRAME: _SPARK_READ,
+    Interface.HIVEQL: (
+        "hive->metastore:get_table",
+        "hive->hdfs:read_segments",
+        "hive->serde:decode",
+    ),
 }
 
 
-def _span_features(spans: tuple[Span, ...]) -> set[str]:
-    features: set[str] = set()
-    for span in spans:
-        if span.boundary:
-            features.add(
-                f"span:{span.boundary}:{span.operation}:{span.status}"
-            )
-        for event in span.events:
-            allowed = EVENT_ATTRS.get(event.name)
-            if allowed is None:
-                continue
-            detail = ",".join(
-                f"{key}={event.attributes.get(key)}"
-                for key in allowed
-                if key in event.attributes
-            )
-            features.add(f"event:{event.name}:{detail}")
-    return features
+@lru_cache(maxsize=32)
+def _store_assignment(conf: tuple[tuple[str, object], ...]) -> str:
+    """The cast-policy event of a Spark SQL write's analysis under
+    ``conf``, read through :class:`SparkConf` as a deployment reads it."""
+    spark = SparkConf()
+    for key, value in conf:
+        spark.set(key, value, source="deployment")
+    policy = str(spark.store_assignment_policy)
+    ansi = bool(spark.get("spark.sql.ansi.enabled"))
+    return f"event:cast.store_assignment:policy={policy},ansi={ansi}"
 
 
-def trial_features(trial: Trial, spans: tuple[Span, ...] = ()) -> set[str]:
-    """The coverage features one executed trial contributes."""
+@cache
+def _crossed(plan: Plan, fmt: str, stage: str, cast: str) -> frozenset[str]:
+    """A trial's boundary and seam-event features, by the stage its
+    outcome failed at (empty if it did not fail)."""
+    steps = {"create": 0, "write": 2}.get(stage, 3)
+    crossed = [each for step in _WRITES[plan.writer][:steps] for each in step]
+    if steps == 3:
+        crossed.extend(_READS[plan.reader])
+    features = {f"span:{crossing}:ok" for crossing in crossed}
+    if plan.writer == Interface.SPARKSQL and steps >= 2:
+        features.add(cast)
+    if plan.writer == Interface.HIVEQL and fmt == "orc" and steps == 3:
+        features.add("event:orc.positional_rename:prefix=_col")
+    return frozenset(features)
+
+
+def trial_features(
+    trial: Trial, conf_overrides: dict[str, object]
+) -> set[str]:
+    """The coverage features one executed trial contributes, under the
+    deployment conf its round drew."""
     test_input = trial.test_input
-    features = _span_features(spans)
+    cast = _store_assignment(tuple(sorted(conf_overrides.items())))
+    features = set(_crossed(trial.plan, trial.fmt, trial.outcome.stage, cast))
+    shape = outcome_shape(trial.outcome, test_input)
     features.add(f"type:{type_shape(test_input.type_text)}")
-    features.add(
-        "verdict:"
-        f"{trial.plan.group}:{trial.fmt}:"
-        f"{outcome_shape(trial.outcome, test_input)}"
-    )
+    features.add(f"verdict:{trial.plan.group}:{trial.fmt}:{shape}")
     return features
 
 

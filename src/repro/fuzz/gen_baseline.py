@@ -21,6 +21,7 @@ fingerprints at the smoke seed.
 
 from __future__ import annotations
 
+import argparse
 import sys
 
 from repro.crosstest.fingerprint import conf_label
@@ -77,8 +78,15 @@ def build_baseline(progress=print) -> Baseline:
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    path = argv[0] if argv else default_baseline_path()
+    parser = argparse.ArgumentParser(
+        prog="python -m repro.fuzz.gen_baseline",
+        description="Regenerate the known-discrepancy baseline.",
+    )
+    parser.add_argument(
+        "path", nargs="?", default=default_baseline_path(),
+        metavar="OUT_PATH", help="default: the committed baseline",
+    )
+    path = parser.parse_args(argv).path
     baseline = build_baseline()
     baseline.save(path)
     print(f"wrote {len(baseline)} fingerprints to {path}")

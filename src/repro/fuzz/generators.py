@@ -75,8 +75,8 @@ FAMILIES = (
 #: (defaults) is weighted: the first rounds always run the stock
 #: deployment so baseline mechanisms are found before conf variants.
 #: (``repro.plan.cache.enabled`` is deliberately not in the menu — the
-#: scheduler forces it off on every fuzz batch for span determinism,
-#: so a mutation toggling it would alias the default deployment.)
+#: scheduler forces it off on every fuzz batch, so a mutation toggling
+#: it would alias the default deployment.)
 CONF_MENU: tuple[dict[str, object], ...] = (
     {},
     {"spark.sql.storeAssignmentPolicy": "legacy"},

@@ -3,14 +3,14 @@
 A campaign runs in *rounds*. Each round draws a deployment conf, fills
 a batch with fresh candidates and mutations of coverage-promoted seeds,
 and fans the batch through :mod:`crosstest.executor` at whatever
-``--jobs``/pool setting the caller picked, one shard per candidate.
-Everything that depends on one candidate alone — its trials' coverage
-features, oracle failures, fingerprints and catalog matches — is
-computed in the worker that ran it (:func:`_analyze_candidate`), so its
-spans never travel. The parent merges those results in the
-(byte-identical) trial order regardless of worker count, so everything
-layered on top — coverage promotion, fingerprint collection, dedup,
-shrinking — replays exactly for a fixed ``(seed, budget, baseline)``.
+``--jobs``/pool setting the caller picked, untraced. A candidate's
+oracle failures, fingerprints and catalog matches are computed in the
+worker that ran it (:func:`_analyze_candidate`), and the parent derives
+each trial's coverage features from its outcome and the round's conf.
+It merges both in the (byte-identical) trial order regardless of
+worker count, so everything layered on top — coverage promotion,
+fingerprint collection, dedup, shrinking — replays exactly for a fixed
+``(seed, budget, baseline)``.
 
 The budget is counted in *candidates generated*, not wall-clock: a time
 budget would make the campaign's output depend on machine speed and
@@ -598,8 +598,6 @@ class CandidateAnalysis:
     """What one candidate's trials tell its round, computed in the worker
     that ran them."""
 
-    #: coverage features of each trial, in plan → format order
-    features: tuple[set[str], ...]
     #: ``(key, fingerprint, failure count)`` per distinct fingerprint
     hits: tuple[tuple[str, Fingerprint, int], ...]
     #: catalog numbers the candidate's trials exhibit
@@ -609,28 +607,22 @@ class CandidateAnalysis:
 def _analyze_candidate(
     label: str,
     trials: list[Trial],
-    traces: list[tuple[Span, ...]],
     injections: None,
 ) -> CandidateAnalysis:
     """Analyze one candidate's trials (every plan × format, in order)
-    and their raw spans, under the round's fingerprint ``label``.
-    Rounds inject no faults, so ``injections`` is always ``None``.
+    under the round's fingerprint ``label``. Rounds inject no faults,
+    so ``injections`` is always ``None``.
 
-    The executor calls this in the worker (``execute(analyze=,
-    traced=True)``), so it must pickle by reference. It reaches the
-    coverage, oracle and fingerprint functions through this module's
-    names, so a profiler that rebinds them here times the workers'
-    calls too. Every result is a function of this one input's trials:
-    WR and EH judge one trial, Diff and the fingerprints bucket by
-    input id.
+    The executor calls this in the worker (``execute(analyze=)``), so
+    it must pickle by reference. It reaches the oracle and fingerprint
+    functions through this module's names, so a profiler that rebinds
+    them here times the workers' calls too. Every result is a function
+    of this one input's trials: WR and EH judge one trial, Diff and the
+    fingerprints bucket by input id.
     """
     failures = all_failures(trials)
     hits = run_fingerprints(trials, failures, label)
     return CandidateAnalysis(
-        features=tuple(
-            trial_features(trial, spans)
-            for trial, spans in zip(trials, traces)
-        ),
         hits=tuple(
             (key, hit.fingerprint, len(hit.failures))
             for key, hit in hits.items()
@@ -642,9 +634,9 @@ def _analyze_candidate(
 def _execution_conf(conf_overrides: dict[str, object]) -> dict[str, object]:
     """The conf a round's trials run under: its drawn conf, plan cache off.
 
-    Cache hits skip analysis-time spans/events, and cache warmth
-    depends on worker history (even fork inheritance), which would make
-    the coverage map vary with --jobs. With the cache off every
+    Rounds come out identical with the cache on, but every worker then
+    keeps the plans of every statement text a campaign draws, and its
+    memory grows about twice as fast. With the cache off every
     statement still goes through prepare and execute, the path a cache
     miss takes, so the setting changes only reuse; it is excluded from
     the fingerprint label.
@@ -670,11 +662,12 @@ def run_round(
     worker pool across rounds instead of paying pool teardown per
     round.
 
-    Each candidate runs traced as one executor shard whose worker
+    The batch runs untraced, and the worker that ran a candidate
     analyzes it (:func:`_analyze_candidate`); only outcome columns and
-    those results come home, never spans. This function then does only
-    what depends on order: the coverage merge, promotion and finding
-    bookkeeping. Use :func:`trace_witness` to see a finding's spans.
+    those results come home. This function then does what depends on
+    order: the coverage merge (:func:`trial_features`), promotion and
+    finding bookkeeping. Use :func:`trace_witness` to see a finding's
+    spans.
     """
     config = state.config
     if batch_size is None:
@@ -700,21 +693,19 @@ def run_round(
         pool_handle=pool_handle,
         analyze=partial(_analyze_candidate, conf_label(conf_overrides)),
         analysis_sink=analyses,
-        traced=True,
     )
     state.trials_run += len(trials)
 
-    # coverage promotion, in (byte-identical) trial order: for each
-    # plan, each format, each candidate by slot. First-seen credit
+    # coverage promotion in (byte-identical) trial order: each plan,
+    # each format, each slot (index % batch_size). First-seen credit
     # decides promotion, so a candidate-major merge would differ.
     promoted: set[int] = set()
     new_features: set[str] = set()
-    for cell in range(len(config.plans) * len(config.formats)):
-        for slot in range(batch_size):
-            novel = state.coverage.observe(analyses[slot].features[cell])
-            if novel:
-                promoted.add(slot)
-                new_features.update(novel)
+    for index, trial in enumerate(trials):
+        novel = state.coverage.observe(trial_features(trial, conf_overrides))
+        if novel:
+            promoted.add(index % batch_size)
+            new_features.update(novel)
     promoted_count = 0
     for slot in sorted(promoted):
         test_input = batch[slot]
@@ -783,9 +774,9 @@ def run_round(
 
 
 def trace_witness(config: FuzzConfig, finding: FuzzFinding) -> list[Span]:
-    """Re-run a finding's witness traced, the way its round ran it.
+    """Re-run a finding's witness traced.
 
-    Rounds keep no spans, so a trace export re-runs the (deterministic)
+    Rounds run untraced, so a trace export re-runs the (deterministic)
     witness on demand: every plan × format, ``jobs=1``, under the
     finding's conf with the plan cache off. Spans come back in trial
     order (trace ids ``plan/fmt/input_id``), tagged ``source=fuzz`` so
@@ -820,10 +811,9 @@ def run_fuzz(
     never pollutes the §8 matrix counters. ``progress``, if given, is
     called per round as ``progress(round, rounds, trials_so_far)``.
 
-    The result holds no spans: rounds analyze them in the workers and
-    drop them, so memory does not grow with the budget.
-    :func:`trace_witness` re-runs a finding's witness when its trace is
-    wanted.
+    The result holds no spans: rounds run untraced, so memory does not
+    grow with the budget. :func:`trace_witness` re-runs a finding's
+    witness when its trace is wanted.
     """
     if metrics is None:
         metrics = CrossTestMetrics(source="fuzz")

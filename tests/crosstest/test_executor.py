@@ -232,9 +232,6 @@ class TestRunShard:
         assert [{s.trace_id for s in batch} for batch in batches] == [
             {f"{plan.name}/{fmt}/{input_id}"} for plan, fmt in shard.cells
         ]
-        # traced without shipping: spans stay in the worker
-        kept = run_shard(shard, tracing=True, ship_spans=False)
-        assert kept.spans_blob is None
         # a shared lane cannot keep one span tree per trial
         wide = build_shards(ALL_PLANS[:1], ("orc",), SMALL_INPUTS)[0]
         assert len(wide.inputs) > 1

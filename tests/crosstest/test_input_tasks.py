@@ -13,21 +13,20 @@ INPUTS = generate_inputs()[:6] + generate_inputs()[210:214]
 PLAIN = {"repro.plan.cache.enabled": "false"}
 
 
-def _trace_ids(trials, traces, injections):
-    """A picklable analysis: each trial's cell and its spans' trace ids."""
+def _trace_ids(trials, injections):
+    """A picklable analysis: each trial's trace id."""
     return [
-        (trial.plan.name, trial.fmt, sorted({span.trace_id for span in spans}))
-        for trial, spans in zip(trials, traces)
+        f"{trial.plan.name}/{trial.fmt}/{trial.test_input.input_id}"
+        for trial in trials
     ]
 
 
-def _cells(trials, traces, injections):
+def _cells(trials, injections):
     """A picklable analysis: the input, its trials' cells, and whether
-    spans and injections (one entry per trial) came along."""
+    injections (one entry per trial) came along."""
     return (
         {trial.test_input.input_id for trial in trials},
         [(trial.plan.name, trial.fmt) for trial in trials],
-        traces is not None,
         injections is not None and len(injections) == len(trials),
     )
 
@@ -48,21 +47,30 @@ def test_input_tasks_keep_the_matrix_order_and_analyze_traced_trials(
 ):
     expected = execute(ALL_PLANS, FORMATS, INPUTS, PLAIN, jobs=1)
     analyses = {}
+    sink = {}
     metrics = CrossTestMetrics()
     trials = execute(
         ALL_PLANS, FORMATS, INPUTS, PLAIN, jobs=jobs, pool=pool,
         metrics=metrics, analyze=_trace_ids, analysis_sink=analyses,
-        traced=True,
+        trace_sink=sink,
     )
     assert _rows(trials) == _rows(expected)
     assert int(metrics.trials_total.value) == len(trials)
     assert sorted(analyses) == list(range(len(INPUTS)))
     for index, test_input in enumerate(INPUTS):
         assert analyses[index] == [
-            (plan.name, fmt, [f"{plan.name}/{fmt}/{test_input.input_id}"])
+            f"{plan.name}/{fmt}/{test_input.input_id}"
             for plan in ALL_PLANS
             for fmt in FORMATS
         ]
+    # and each trial's own spans carry its trace id
+    assert {
+        index: {span.trace_id for span in spans}
+        for index, spans in sink.items()
+    } == {
+        index: {trace_id}
+        for index, trace_id in enumerate(_trace_ids(trials, None))
+    }
 
 
 @pytest.mark.parametrize(
@@ -77,8 +85,7 @@ def test_input_tasks_keep_the_matrix_order_and_analyze_traced_trials(
 )
 def test_every_pass_analyzes_each_input_once_in_cell_order(options):
     # shared lanes put several inputs in one shard; each still gets
-    # one call over its own 24 trials, spans only when traced and
-    # injections only when faulted
+    # one call over its own 24 trials, injections only when faulted
     analyses = {}
     trials = execute(
         ALL_PLANS, FORMATS, INPUTS, jobs=2, pool="thread",
@@ -86,13 +93,12 @@ def test_every_pass_analyzes_each_input_once_in_cell_order(options):
     )
     cells = [(plan.name, fmt) for plan in ALL_PLANS for fmt in FORMATS]
     assert len(trials) == len(cells) * len(INPUTS)
-    traced = "trace_sink" in options
     faulted = "fault_plan" in options
     assert analyses == {
-        index: ({test_input.input_id}, cells, traced, faulted)
+        index: ({test_input.input_id}, cells, faulted)
         for index, test_input in enumerate(INPUTS)
     }
-    if traced:
+    if "trace_sink" in options:
         assert sorted(options["trace_sink"]) == list(range(len(trials)))
 
 

@@ -1,10 +1,11 @@
-"""Rounds analyze each candidate in the worker that ran it.
+"""Rounds run untraced and analyze each candidate where it ran.
 
-A round dispatches one executor task per candidate and ships home only
-outcome columns, coverage features and fingerprint hits. These tests
+A round's workers ship home only outcome columns and fingerprint hits,
+and the parent derives coverage from each trial's outcome. These tests
 pin that this gives exactly what the parent-side derivation over every
-trial and its decoded spans gave, that no span blob travels on a
-round, and that ``--out-dir`` still writes a witness's complete trace.
+trial and its decoded spans gave, that a round opens no tracer and
+moves no span blob, and that ``--out-dir`` still writes a witness's
+complete trace.
 """
 
 import asyncio
@@ -21,7 +22,6 @@ from repro.crosstest.fingerprint import conf_label, run_fingerprints
 from repro.crosstest.oracles import all_failures
 from repro.crosstest.plans import ALL_PLANS, FORMATS
 from repro.fuzz import FUZZ_ID_BASE, Baseline, FuzzConfig
-from repro.fuzz.coverage import trial_features
 from repro.fuzz.generators import gen_conf
 from repro.fuzz.scheduler import (
     CampaignState,
@@ -31,6 +31,7 @@ from repro.fuzz.scheduler import (
     run_round,
 )
 from repro.tracing import read_jsonl
+from tests.fuzz.test_coverage import traced_features
 
 ROUNDS = 4
 BATCH = 8
@@ -38,9 +39,10 @@ BATCH = 8
 
 def _reference_round(state: CampaignState, baseline: Baseline) -> RoundOutcome:
     """One round the way the parent derived it from every trial: the full
-    trial list in plan → format → input order, coverage features over
-    decoded spans, and the oracles, fingerprints and catalog matches
-    over all trials of the batch at once."""
+    trial list in plan → format → input order, run traced, coverage
+    features read off each trial's decoded spans, and the oracles,
+    fingerprints and catalog matches over all trials of the batch at
+    once."""
     config = state.config
     round_index = state.round_index
     batch = _build_batch(
@@ -67,7 +69,7 @@ def _reference_round(state: CampaignState, baseline: Baseline) -> RoundOutcome:
     new_features = set()
     for index, trial in enumerate(trials):
         novel = state.coverage.observe(
-            trial_features(trial, trace_sink.get(index, ()))
+            traced_features(trial, trace_sink[index])
         )
         if novel:
             promoted.add(trial.test_input.input_id)
@@ -188,8 +190,9 @@ def test_rounds_match_the_parent_side_derivation(seed):
 @pytest.fixture
 def no_span_blobs(monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("a span blob was encoded or decoded")
+        raise AssertionError("a tracer was opened or a span blob moved")
 
+    monkeypatch.setattr(executor, "Tracer", refuse)
     monkeypatch.setattr(executor, "encode_span_batches", refuse)
     monkeypatch.setattr(executor, "decode_span_batches", refuse)
 
