@@ -2,8 +2,8 @@ PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 .PHONY: tier1 smoke-crosstest smoke-tests test bench bench-gate \
-	perfbench-tests chaos fuzz-smoke fuzz-baseline lint crosstest \
-	status-smoke campaign-smoke analytics-smoke
+	perfbench-tests chaos fuzz-smoke fuzz-baseline baseline-check lint \
+	crosstest status-smoke campaign-smoke analytics-smoke
 
 # sub-second sanity tier: the distilled 14-input corpus must still
 # reproduce all 15 discrepancy mechanisms (run this before anything
@@ -185,6 +185,14 @@ analytics-smoke:
 # any machine produces the identical file)
 fuzz-baseline:
 	$(PYTHON) -m repro.fuzz.gen_baseline
+
+# the committed baseline must regenerate byte for byte: a change that
+# moves any fingerprint of the curated corpus or the smoke campaign
+# fails here, not silently in the novelty gate
+baseline-check:
+	@set -e; out=$$(mktemp); trap 'rm -f "$$out"' EXIT; \
+	$(PYTHON) -m repro.fuzz.gen_baseline "$$out"; \
+	cmp "$$out" src/repro/fuzz/known_discrepancies.json
 
 # ruff + mypy over the packages the lint CI job covers (needs the
 # 'lint' extra: pip install ruff mypy)

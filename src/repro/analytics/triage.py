@@ -243,14 +243,12 @@ def triage_checkpoint(
     for key in keys:
         finding = state.findings[key]
         provenance = state.witness_provenance[key]
-        label = conf_label(finding.conf_overrides)
         fired = reproduces(
             finding.witness,
             key,
             config.plans,
             config.formats,
             finding.conf_overrides,
-            label,
         )
         shrunk = None
         if fired and shrink:
@@ -260,13 +258,12 @@ def triage_checkpoint(
                 config.plans,
                 config.formats,
                 finding.conf_overrides,
-                label,
             )
         findings.append(
             TriagedFinding(
                 key=key,
                 provenance=provenance,
-                conf=label,
+                conf=conf_label(finding.conf_overrides),
                 seam=item_seam(f"fp:{key}"),
                 witness=finding.witness,
                 reproduced=fired,

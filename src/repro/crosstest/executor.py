@@ -16,8 +16,8 @@ Because a shard holds every trial of its inputs, per-input work runs in
 the worker that ran the trials: given ``analyze``, :func:`run_shard`
 calls it once per input on that input's trials (the §8 oracles,
 classification and, under a fault plan, the fault-free reruns and
-robustness verdicts for a matrix pass; oracles and fingerprints for a
-fuzz round), and only its result ships home.
+robustness verdicts, for every §8, chaos and fuzz-round pass), and only
+its result ships home.
 
 Two invariants hold regardless of scheduling:
 

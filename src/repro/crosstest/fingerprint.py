@@ -198,47 +198,41 @@ def conf_label(conf_overrides: dict[str, object] | None) -> str:
 
 def failure_fingerprint(
     failure: OracleFailure,
-    bucket: list[Trial],
+    cells: dict[tuple[str, str], Trial],
     conf: str = "",
 ) -> Fingerprint:
-    """Fingerprint one oracle failure given its input's trial bucket.
+    """Fingerprint one oracle failure given its input's trials.
 
-    ``bucket`` is every trial of the failure's input (all plans and
-    formats) — the same bucket the classifier matches signatures over.
+    ``cells`` maps ``(plan name, fmt)`` to the failure's input's trial
+    under that plan and format: every trial of the input, the same
+    bucket the classifier matches signatures over.
     """
-    by_cell = {(t.plan.name, t.fmt): t for t in bucket}
-    test_input = bucket[0].test_input
-    shape = type_shape(test_input.type_text)
     if failure.oracle in ("wr", "eh"):
-        trial = by_cell[(failure.plans[0], failure.fmt)]
-        return Fingerprint(
-            oracle=failure.oracle,
-            group=failure.group,
-            fmt=failure.fmt,
-            plans=failure.plans,
-            type_shape=shape,
-            evidence=outcome_shape(trial.outcome, test_input),
-            conf=conf,
-        )
-    # differential: two trials, identified by the failure's axis
-    if failure.axis == "fmt":
-        left = by_cell[(failure.plans[0], failure.labels[0])]
-        right = by_cell[(failure.plans[1], failure.labels[1])]
-        fmt = f"{failure.labels[0]}<>{failure.labels[1]}"
-    else:
-        left = by_cell[(failure.plans[0], failure.fmt)]
-        right = by_cell[(failure.plans[1], failure.fmt)]
+        trial = cells[(failure.plans[0], failure.fmt)]
+        test_input = trial.test_input
         fmt = failure.fmt
-    evidence = (
-        f"{outcome_shape(left.outcome, test_input)}"
-        f"<>{outcome_shape(right.outcome, test_input)}"
-    )
+        evidence = outcome_shape(trial.outcome, test_input)
+    else:
+        # differential: two trials, identified by the failure's axis
+        if failure.axis == "fmt":
+            left = cells[(failure.plans[0], failure.labels[0])]
+            right = cells[(failure.plans[1], failure.labels[1])]
+            fmt = f"{failure.labels[0]}<>{failure.labels[1]}"
+        else:
+            left = cells[(failure.plans[0], failure.fmt)]
+            right = cells[(failure.plans[1], failure.fmt)]
+            fmt = failure.fmt
+        test_input = left.test_input
+        evidence = (
+            f"{outcome_shape(left.outcome, test_input)}"
+            f"<>{outcome_shape(right.outcome, test_input)}"
+        )
     return Fingerprint(
         oracle=failure.oracle,
         group=failure.group,
         fmt=fmt,
         plans=failure.plans,
-        type_shape=shape,
+        type_shape=type_shape(test_input.type_text),
         evidence=evidence,
         conf=conf,
     )
@@ -250,7 +244,11 @@ class FingerprintHit:
 
     fingerprint: Fingerprint
     failures: list[OracleFailure] = field(default_factory=list)
-    #: input id of the first witnessing failure, in trial order
+    #: input id of the key's first failure. WR/EH failures come in trial
+    #: order and a key's are all of one (plan, fmt) cell; Diff failures
+    #: come bucket by bucket, each sorted by input id. So in a run whose
+    #: input ids rise with input position (a fuzz round's batch), this is
+    #: the lowest input id that hit the key.
     witness_input_id: int = -1
 
 
@@ -262,19 +260,21 @@ def run_fingerprints(
     """Every distinct fingerprint of a run, with its witnessing failures.
 
     Returns ``{fingerprint key: hit}``; recomputes the oracle failures
-    when not handed in. Iteration order is deterministic (the oracles
-    emit failures in trial order).
+    when not handed in. Iteration order is deterministic: the oracles'
+    own failure order (see :attr:`FingerprintHit.witness_input_id`).
     """
     if failures is None:
         failures = all_failures(trials)
-    buckets: dict[int, list[Trial]] = {}
+    cells: dict[int, dict[tuple[str, str], Trial]] = {}
     for trial in trials:
-        buckets.setdefault(trial.test_input.input_id, []).append(trial)
+        cells.setdefault(trial.test_input.input_id, {})[
+            (trial.plan.name, trial.fmt)
+        ] = trial
     out: dict[str, FingerprintHit] = {}
     for oracle in ("wr", "eh", "difft"):
         for failure in failures.get(oracle, []):
             fingerprint = failure_fingerprint(
-                failure, buckets[failure.input_id], conf
+                failure, cells[failure.input_id], conf
             )
             hit = out.get(fingerprint.key)
             if hit is None:

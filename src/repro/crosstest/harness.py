@@ -233,6 +233,7 @@ class CrossTester:
         fault_plan=None,
         fault_seed: int = 0,
         batch: bool = True,
+        pool_handle=None,
         analyze=None,
         analysis_sink=None,
     ) -> list[Trial]:
@@ -249,6 +250,7 @@ class CrossTester:
         injection on. Every trial runs through the executor's one lane
         runner: ``batch`` lets same-type trials share a lane, while
         traced or fault-injected trials always run as lanes of one.
+        ``pool_handle`` runs the shards on a caller's persistent pool.
         ``analyze`` runs in the worker once per input on that input's
         trials and fired injections (the only way injections reach the
         caller), filling ``analysis_sink`` with ``{input position:
@@ -269,6 +271,7 @@ class CrossTester:
             fault_plan=fault_plan,
             fault_seed=fault_seed,
             batch=batch,
+            pool_handle=pool_handle,
             analyze=analyze,
             analysis_sink=analysis_sink,
         )

@@ -14,7 +14,7 @@ from functools import partial
 
 from repro.crosstest.catalog import CATALOG, CATEGORY_MEMBERS, Discrepancy
 from repro.crosstest.classify import Evidence, classify_trials
-from repro.crosstest.executor import run_trials
+from repro.crosstest.executor import WorkerPoolHandle, run_trials
 from repro.crosstest.fingerprint import FingerprintHit, run_fingerprints
 from repro.crosstest.harness import CrossTester, Outcome, Trial
 from repro.crosstest.oracles import (
@@ -460,6 +460,7 @@ def run_crosstest(
     fault_plan: FaultPlan | None = None,
     fault_seed: int = 0,
     batch: bool = True,
+    pool_handle: WorkerPoolHandle | None = None,
 ) -> CrossTestReport:
     """Run the full §8 pipeline: harness → oracles → classification.
 
@@ -486,7 +487,9 @@ def run_crosstest(
     Every trial runs through the executor's one lane runner. ``batch``
     (the default) lets same-type trials share a lane; traced or
     fault-injected trials always run as lanes of one, and the rendered
-    report is byte-identical either way.
+    report is byte-identical either way. ``pool_handle`` names a
+    caller's persistent worker pool to run on (see
+    :func:`~repro.crosstest.executor.execute`).
     """
     tester = CrossTester(
         inputs=inputs,
@@ -506,6 +509,7 @@ def run_crosstest(
         fault_plan=fault_plan if injecting else None,
         fault_seed=fault_seed,
         batch=batch,
+        pool_handle=pool_handle,
         analyze=partial(_analyze_input, tester.conf_overrides, tracing),
         analysis_sink=analyses,
     )

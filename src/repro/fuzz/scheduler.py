@@ -2,15 +2,15 @@
 
 A campaign runs in *rounds*. Each round draws a deployment conf, fills
 a batch with fresh candidates and mutations of coverage-promoted seeds,
-and fans the batch through :mod:`crosstest.executor` at whatever
-``--jobs``/pool setting the caller picked, untraced. A candidate's
-oracle failures, fingerprints and catalog matches are computed in the
-worker that ran it (:func:`_analyze_candidate`), and the parent derives
-each trial's coverage features from its outcome and the round's conf.
-It merges both in the (byte-identical) trial order regardless of
-worker count, so everything layered on top — coverage promotion,
-fingerprint collection, dedup, shrinking — replays exactly for a fixed
-``(seed, budget, baseline)``.
+and runs the batch as a §8 pass (:func:`run_crosstest`) at whatever
+``--jobs``/pool setting the caller picked, untraced. The worker that
+ran a candidate judges it with the §8 oracles and catalog classifier;
+the parent fingerprints the round's failures and derives each trial's
+coverage features from its outcome and the round's conf. Both follow
+the (byte-identical) trial order regardless of worker count, so
+everything layered on top — coverage promotion, fingerprint
+collection, dedup, shrinking — replays exactly for a fixed ``(seed,
+budget, baseline)``.
 
 The budget is counted in *candidates generated*, not wall-clock: a time
 budget would make the campaign's output depend on machine speed and
@@ -40,9 +40,11 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from functools import partial
 
-from repro.crosstest.classify import found_discrepancies
+# perfbench/layers.py times all_failures, found_discrepancies and
+# run_fingerprints by patching them in this module, so the three names
+# stay imported here until it stops looking them up
+from repro.crosstest.classify import found_discrepancies  # noqa: F401
 from repro.crosstest.executor import (
     CrossTestMetrics,
     WorkerPoolHandle,
@@ -52,11 +54,11 @@ from repro.crosstest.executor import (
 from repro.crosstest.fingerprint import (
     Fingerprint,
     conf_label,
-    run_fingerprints,
+    run_fingerprints,  # noqa: F401
 )
-from repro.crosstest.harness import Trial
-from repro.crosstest.oracles import all_failures
+from repro.crosstest.oracles import all_failures  # noqa: F401
 from repro.crosstest.plans import ALL_PLANS, FORMATS
+from repro.crosstest.report import run_crosstest
 from repro.crosstest.values import TestInput, generate_inputs
 from repro.fuzz.coverage import CoverageMap, trial_features
 from repro.fuzz.dedup import Baseline
@@ -593,44 +595,6 @@ class CampaignState:
         )
 
 
-@dataclass(frozen=True)
-class CandidateAnalysis:
-    """What one candidate's trials tell its round, computed in the worker
-    that ran them."""
-
-    #: ``(key, fingerprint, failure count)`` per distinct fingerprint
-    hits: tuple[tuple[str, Fingerprint, int], ...]
-    #: catalog numbers the candidate's trials exhibit
-    discrepancies: frozenset[int]
-
-
-def _analyze_candidate(
-    label: str,
-    trials: list[Trial],
-    injections: None,
-) -> CandidateAnalysis:
-    """Analyze one candidate's trials (every plan × format, in order)
-    under the round's fingerprint ``label``. Rounds inject no faults,
-    so ``injections`` is always ``None``.
-
-    The executor calls this in the worker (``execute(analyze=)``), so
-    it must pickle by reference. It reaches the oracle and fingerprint
-    functions through this module's names, so a profiler that rebinds
-    them here times the workers' calls too. Every result is a function
-    of this one input's trials: WR and EH judge one trial, Diff and the
-    fingerprints bucket by input id.
-    """
-    failures = all_failures(trials)
-    hits = run_fingerprints(trials, failures, label)
-    return CandidateAnalysis(
-        hits=tuple(
-            (key, hit.fingerprint, len(hit.failures))
-            for key, hit in hits.items()
-        ),
-        discrepancies=frozenset(found_discrepancies(trials)),
-    )
-
-
 def _execution_conf(conf_overrides: dict[str, object]) -> dict[str, object]:
     """The conf a round's trials run under: its drawn conf, plan cache off.
 
@@ -662,10 +626,11 @@ def run_round(
     worker pool across rounds instead of paying pool teardown per
     round.
 
-    The batch runs untraced, and the worker that ran a candidate
-    analyzes it (:func:`_analyze_candidate`); only outcome columns and
-    those results come home. This function then does what depends on
-    order: the coverage merge (:func:`trial_features`), promotion and
+    The batch is a §8 run (:func:`run_crosstest`) under the round's
+    conf with the plan cache off, untraced: the worker that ran a
+    candidate judges it, and only outcome columns and those judgements
+    come home. This function then does what depends on order: the
+    coverage merge (:func:`trial_features`), fingerprints, promotion and
     finding bookkeeping. Use :func:`trace_witness` to see a finding's
     spans.
     """
@@ -673,27 +638,26 @@ def run_round(
     if batch_size is None:
         batch_size = config.batch
     round_index = state.round_index
+    next_id = FUZZ_ID_BASE + state.candidates
     batch = _build_batch(
         config,
         round_index,
         batch_size,
-        FUZZ_ID_BASE + state.candidates,
+        next_id,
         state.seed_pool,
     )
     conf_overrides = gen_conf(config.seed, round_index)
-    analyses: dict[int, CandidateAnalysis] = {}
-    trials = execute(
+    report = run_crosstest(
+        batch,
         config.plans,
         config.formats,
-        batch,
         _execution_conf(conf_overrides),
         jobs=config.jobs,
         pool=config.pool,
         metrics=metrics,
         pool_handle=pool_handle,
-        analyze=partial(_analyze_candidate, conf_label(conf_overrides)),
-        analysis_sink=analyses,
     )
+    trials = report.trials
     state.trials_run += len(trials)
 
     # coverage promotion in (byte-identical) trial order: each plan,
@@ -715,43 +679,35 @@ def run_round(
             state.promoted.append((round_index, slot, test_input.input_id))
             promoted_count += 1
 
-    # fingerprints + dedup bookkeeping. A key's failures all come from
-    # one (plan, fmt) cell or one Diff axis, in input-id (= slot) order,
-    # so its witness is the lowest slot that hit it; counts sum.
-    witnesses: dict[str, tuple[Fingerprint, int]] = {}
-    counts: dict[str, int] = {}
-    for slot in range(batch_size):
-        for key, fingerprint, count in analyses[slot].hits:
-            witnesses.setdefault(key, (fingerprint, slot))
-            counts[key] = counts.get(key, 0) + count
+    # fingerprints + dedup bookkeeping. Input ids rise with slot, so a
+    # key's witness is the lowest slot that hit it.
+    hits = report.fingerprints(conf_label(conf_overrides))
     new_keys: list[str] = []
-    for key in sorted(witnesses):
-        fingerprint, slot = witnesses[key]
-        count = counts[key]
+    for key in sorted(hits):
+        hit = hits[key]
         finding = state.findings.get(key)
         if finding is None:
-            witness = batch[slot]
+            slot = hit.witness_input_id - next_id
             state.findings[key] = FuzzFinding(
-                fingerprint=fingerprint,
-                witness=witness,
+                fingerprint=hit.fingerprint,
+                witness=batch[slot],
                 conf_overrides=dict(conf_overrides),
                 round_index=round_index,
-                failure_count=count,
+                failure_count=len(hit.failures),
                 novel=key not in baseline,
             )
             state.witness_provenance[key] = (
                 round_index,
                 slot,
-                witness.input_id,
+                hit.witness_input_id,
             )
             new_keys.append(key)
         else:
-            finding.failure_count += count
+            finding.failure_count += len(hit.failures)
 
-    found = set().union(*(each.discrepancies for each in analyses.values()))
     fresh_numbers = sorted(
         number
-        for number in found
+        for number in report.found_numbers
         if number and number not in state.rediscovered
     )
     state.rediscovered.update(fresh_numbers)
@@ -761,7 +717,7 @@ def run_round(
         round_index=round_index,
         candidates=batch_size,
         trials=len(trials),
-        witnessed=tuple(sorted(witnesses)),
+        witnessed=tuple(sorted(hits)),
         new_keys=tuple(new_keys),
         novel_keys=tuple(
             key for key in new_keys if state.findings[key].novel
@@ -850,6 +806,5 @@ def run_fuzz(
                 config.plans,
                 config.formats,
                 finding.conf_overrides,
-                conf_label(finding.conf_overrides),
             )
     return result

@@ -22,7 +22,7 @@ from repro.common.types import (
     parse_type,
 )
 from repro.crosstest.executor import execute
-from repro.crosstest.fingerprint import run_fingerprints
+from repro.crosstest.fingerprint import conf_label, run_fingerprints
 from repro.crosstest.values import TestInput
 from repro.fuzz.generators import is_valid_for, render_literal
 
@@ -44,15 +44,17 @@ def reproduces(
     plans,
     formats,
     conf_overrides: dict[str, object] | None,
-    conf: str,
 ) -> bool:
     """Does running just ``candidate`` still witness the fingerprint?
 
     A one-input matrix: each (plan, fmt) shard holds one input, so
-    every trial runs as a lane of one — the isolated trial.
+    every trial runs as a lane of one — the isolated trial. Its
+    fingerprints carry the label of the conf it ran under.
     """
     trials = execute(plans, formats, [candidate], conf_overrides, jobs=1)
-    return fingerprint_key in run_fingerprints(trials, conf=conf)
+    return fingerprint_key in run_fingerprints(
+        trials, conf=conf_label(conf_overrides)
+    )
 
 
 def _literal_wrapper(parent_literal: str) -> str:
@@ -181,7 +183,6 @@ def shrink_input(
     plans,
     formats,
     conf_overrides: dict[str, object] | None,
-    conf: str,
 ) -> TestInput:
     """Greedily minimize ``test_input`` while its fingerprint survives."""
     current = test_input
@@ -205,7 +206,6 @@ def shrink_input(
                 plans,
                 formats,
                 conf_overrides,
-                conf,
             ):
                 current = candidate
                 improved = True

@@ -5,7 +5,9 @@ once per input, in the worker that ran its trials, and merges the
 results. The reference here is the parent-side pass it replaced:
 ``all_failures`` and ``classify_trials`` over the report's full trial
 list, and ``fault_robustness`` over the whole run against fault-free
-reruns on fresh deployments.
+reruns on fresh deployments. ``report.fingerprints`` is checked against
+the per-failure pass ``run_fingerprints`` replaced, which rebuilt the
+failure's input bucket into a ``(plan, fmt)`` map for every failure.
 """
 
 import dataclasses
@@ -15,13 +17,25 @@ from collections import Counter
 import pytest
 
 from repro.crosstest.classify import classify_trials
+from repro.crosstest.fingerprint import (
+    Fingerprint,
+    FingerprintHit,
+    conf_label,
+    outcome_shape,
+    type_shape,
+)
 from repro.crosstest.harness import Deployment, run_trial_on
 from repro.crosstest.oracles import all_failures, fault_robustness
 from repro.crosstest.report import run_crosstest
 from repro.crosstest.smoke import smoke_inputs
 from repro.crosstest.values import generate_inputs
 from repro.faults import BUILTIN_PLANS
-from repro.fuzz.generators import FUZZ_ID_BASE, gen_candidate, gen_conf
+from repro.fuzz.generators import (
+    CONF_MENU,
+    FUZZ_ID_BASE,
+    gen_candidate,
+    gen_conf,
+)
 
 
 def _fields(failures):
@@ -31,7 +45,51 @@ def _fields(failures):
     ]
 
 
-def assert_matches_whole_run_pass(report):
+def _reference_fingerprints(trials, failures, conf):
+    """Each failure fingerprinted against its whole input bucket."""
+    buckets = {}
+    for trial in trials:
+        buckets.setdefault(trial.test_input.input_id, []).append(trial)
+    out = {}
+    for oracle in ("wr", "eh", "difft"):
+        for failure in failures[oracle]:
+            bucket = buckets[failure.input_id]
+            by_cell = {(t.plan.name, t.fmt): t for t in bucket}
+            test_input = bucket[0].test_input
+            if failure.oracle in ("wr", "eh"):
+                fmt = failure.fmt
+                trial = by_cell[(failure.plans[0], fmt)]
+                evidence = outcome_shape(trial.outcome, test_input)
+            else:
+                if failure.axis == "fmt":
+                    left_fmt, right_fmt = failure.labels
+                    fmt = f"{left_fmt}<>{right_fmt}"
+                else:
+                    left_fmt = right_fmt = fmt = failure.fmt
+                left = by_cell[(failure.plans[0], left_fmt)]
+                right = by_cell[(failure.plans[1], right_fmt)]
+                evidence = (
+                    f"{outcome_shape(left.outcome, test_input)}"
+                    f"<>{outcome_shape(right.outcome, test_input)}"
+                )
+            fingerprint = Fingerprint(
+                oracle=failure.oracle,
+                group=failure.group,
+                fmt=fmt,
+                plans=failure.plans,
+                type_shape=type_shape(test_input.type_text),
+                evidence=evidence,
+                conf=conf,
+            )
+            if fingerprint.key not in out:
+                out[fingerprint.key] = FingerprintHit(
+                    fingerprint, witness_input_id=failure.input_id
+                )
+            out[fingerprint.key].failures.append(failure)
+    return out
+
+
+def assert_matches_whole_run_pass(report, conf_overrides=None):
     failures = all_failures(report.trials)
     assert list(report.failures) == list(failures)
     for oracle, expected in failures.items():
@@ -45,6 +103,19 @@ def assert_matches_whole_run_pass(report):
         assert [id(t) for t in got.trials] == [
             id(t) for t in expected.trials
         ], number
+    label = conf_label(conf_overrides)
+    hits = report.fingerprints(label)
+    expected_hits = _reference_fingerprints(
+        report.trials, report.failures, label
+    )
+    assert list(hits) == list(expected_hits)
+    for key, expected in expected_hits.items():
+        got = hits[key]
+        assert got.fingerprint == expected.fingerprint, key
+        assert [id(f) for f in got.failures] == [
+            id(f) for f in expected.failures
+        ], key
+        assert got.witness_input_id == expected.witness_input_id, key
 
 
 @pytest.mark.parametrize(
@@ -54,6 +125,13 @@ def test_curated_corpus(jobs, pool):
     report = run_crosstest(jobs=jobs, pool=pool)
     assert len(report.found_numbers) == 15
     assert_matches_whole_run_pass(report)
+
+
+def test_curated_corpus_under_a_menu_conf():
+    conf = CONF_MENU[1]
+    assert conf_label(conf)
+    report = run_crosstest(conf_overrides=conf, jobs=2)
+    assert_matches_whole_run_pass(report, conf)
 
 
 def test_smoke_corpus_under_the_smoke_fault_plan():
@@ -86,11 +164,10 @@ def test_generated_inputs(seed):
         gen_candidate(seed, 0, slot, FUZZ_ID_BASE + slot)
         for slot in range(64)
     ]
-    report = run_crosstest(
-        inputs=inputs, conf_overrides=gen_conf(seed, 0), jobs=2
-    )
+    conf = gen_conf(seed, 0)
+    report = run_crosstest(inputs=inputs, conf_overrides=conf, jobs=2)
     assert report.failures["difft"] and report.failures["wr"]
-    assert_matches_whole_run_pass(report)
+    assert_matches_whole_run_pass(report, conf)
 
 
 def _reference_verdicts(report):

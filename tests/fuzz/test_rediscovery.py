@@ -56,7 +56,6 @@ def test_shrinker_preserves_fingerprints_of_rediscovered_inputs(
             config.plans,
             config.formats,
             finding.conf_overrides,
-            finding.fingerprint.conf,
         )
         assert input_size(shrunk) <= input_size(finding.witness)
         assert reproduces(
@@ -65,5 +64,4 @@ def test_shrinker_preserves_fingerprints_of_rediscovered_inputs(
             config.plans,
             config.formats,
             finding.conf_overrides,
-            finding.fingerprint.conf,
         )

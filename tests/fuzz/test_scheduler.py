@@ -10,6 +10,7 @@ import json
 
 import pytest
 
+from repro.crosstest import executor
 from repro.crosstest.fingerprint import Fingerprint
 from repro.crosstest.values import TestInput
 from repro.fuzz import (
@@ -19,7 +20,6 @@ from repro.fuzz import (
     default_baseline_path,
     run_fuzz,
 )
-from repro.fuzz import scheduler
 from repro.fuzz.coverage import CoverageMap
 from repro.fuzz.scheduler import (
     CrossTestMetrics,
@@ -77,14 +77,14 @@ def test_budget_counts_candidates_and_caps_rounds():
 
 def test_executed_input_ids_stay_above_fuzz_id_base(monkeypatch):
     executed = []
-    real_execute = scheduler.execute
+    real_execute = executor.execute
 
     def recording_execute(plans, formats, inputs, *args, **kwargs):
         inputs = list(inputs)
         executed.extend(inputs)
         return real_execute(plans, formats, inputs, *args, **kwargs)
 
-    monkeypatch.setattr(scheduler, "execute", recording_execute)
+    monkeypatch.setattr(executor, "execute", recording_execute)
     config = FuzzConfig(
         seed=3, budget=16, batch=8, jobs=1, use_corpus=True, shrink=False
     )

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.crosstest.fingerprint import conf_label
 from repro.fuzz import Baseline, FuzzConfig, run_fuzz
 from repro.fuzz.shrink import input_size, reproduces, shrink_input
 
@@ -29,7 +28,6 @@ def test_shrunk_inputs_still_reproduce_their_fingerprint(campaign):
             config.plans,
             config.formats,
             finding.conf_overrides,
-            finding.fingerprint.conf,
         ), finding.fingerprint.key
 
 
@@ -51,7 +49,6 @@ def test_shrink_is_deterministic(campaign):
         config.plans,
         config.formats,
         finding.conf_overrides,
-        conf_label(finding.conf_overrides),
     )
     assert again.sql_literal == finding.shrunk.sql_literal
     assert again.type_text == finding.shrunk.type_text
