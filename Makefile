@@ -11,10 +11,12 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 smoke-crosstest:
 	$(PYTHON) -m repro.crosstest.smoke
 
-# fast smoke pass over the §8 cross-test engine test suite, including
-# the tracing-overhead guard: instrumentation must stay free when
-# disabled
+# fast smoke pass: every top-level module imports on its own in a fresh
+# interpreter (an import cycle fails here in seconds), then the §8
+# cross-test engine test suite, including the tracing-overhead guard:
+# instrumentation must stay free when disabled
 smoke-tests:
+	$(PYTHON) -m pytest -q tests/test_imports.py
 	$(PYTHON) -m pytest -q tests/crosstest
 	$(PYTHON) -m pytest -q benchmarks/test_bench_tracing_overhead.py
 

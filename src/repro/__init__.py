@@ -15,27 +15,12 @@ The package has three layers:
   :mod:`repro.flinklite`, :mod:`repro.kafkalite`, plus the
   :mod:`repro.connectors` layer and executable :mod:`repro.scenarios`.
 
-Quickstart::
+Importing the package loads none of them, so ``python -m repro``
+loads only what its subcommand uses. Import from the modules::
 
     from repro.crosstest import run_crosstest
     report = run_crosstest()
     print("\\n".join(report.summary_lines()))
 """
 
-from repro.core.analysis import compute_findings
-from repro.crosstest.report import run_crosstest
-from repro.dataset import load_cbs_issues, load_failures, load_incidents
-from repro.scenarios.registry import SCENARIOS, run_all
-
 __version__ = "1.0.0"
-
-__all__ = [
-    "compute_findings",
-    "run_crosstest",
-    "load_cbs_issues",
-    "load_failures",
-    "load_incidents",
-    "SCENARIOS",
-    "run_all",
-    "__version__",
-]

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.common.schema import Field, Schema
 from repro.connectors.retry import RetryPolicy
@@ -38,9 +39,13 @@ from repro.faults.core import FaultAction
 from repro.formats import serializer_for
 from repro.hivelite.metastore import HiveMetastore, Table
 from repro.hivelite.types import metastore_schema_for
-from repro.sparklite.conf import SparkConf
 from repro.tracing.core import event as trace_event
 from repro.tracing.core import span as trace_span
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    # importing it at run time would close the cycle spark_hive ->
+    # repro.sparklite (package) -> sparklite.session -> spark_hive
+    from repro.sparklite.conf import SparkConf
 
 __all__ = [
     "NATIVE_SCHEMA_PROPERTY",
@@ -196,7 +201,6 @@ class SparkHiveConnector:
             def attempt(action: FaultAction | None) -> Table:
                 table = spec.__dict__.get("_table")
                 if table is not None:
-                    trace_event("create.replayed")
                     return self.metastore.register_table(
                         table, if_not_exists=spec.if_not_exists
                     )
@@ -257,13 +261,7 @@ class SparkHiveConnector:
         memo = self._prepare_memo.get(key)
         if memo is not None and memo[0] == stamp:
             spec = memo[1]
-            trace_event(
-                "spark.create.memo_hit", conf_fingerprint=str(stamp)
-            )
         else:
-            trace_event(
-                "spark.create.memo_miss", conf_fingerprint=str(stamp)
-            )
             spec = self.prepare_create(
                 name,
                 declared,
@@ -310,10 +308,7 @@ class SparkHiveConnector:
             operation="resolve",
             boundary="spark->metastore",
         ) as sp:
-            memo_hit = False
-
             def attempt(action: FaultAction | None) -> ResolvedTable:
-                nonlocal memo_hit
                 if action is not None and action.kind == "stale_read":
                     # the lookup lands on a metastore snapshot from
                     # before this table existed: same typed error, wrong
@@ -331,7 +326,6 @@ class SparkHiveConnector:
                 stamp = (state, self.conf.fingerprint())
                 memo = self._resolve_memo.get(key)
                 if memo is not None and memo[0] == stamp:
-                    memo_hit = True
                     return memo[1]
                 fresh = self._resolve_fresh(name, database)
                 if len(self._resolve_memo) >= _RESOLVE_MEMO_LIMIT:
@@ -349,7 +343,6 @@ class SparkHiveConnector:
                 sp.attributes.update(
                     table=name,
                     database=database,
-                    memo_hit=memo_hit,
                     used_native_schema=resolved.used_native_schema,
                     not_case_preserving=not resolved.used_native_schema,
                 )

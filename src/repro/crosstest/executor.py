@@ -54,7 +54,6 @@ from itertools import product
 from typing import Callable, TypeVar
 
 from repro.crosstest.harness import (
-    TRIAL_TABLE,
     Deployment,
     Outcome,
     Trial,
@@ -78,8 +77,6 @@ __all__ = [
     "build_shards",
     "run_shard",
     "worker_pool",
-    "corpus_texts",
-    "prewarm_worker",
     "resolve_jobs",
     "resolve_pool",
     "execute",
@@ -346,87 +343,10 @@ def worker_pool(conf_overrides: dict[str, object] | None = None) -> DeploymentPo
     return pool
 
 
-def corpus_texts(formats, inputs) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """The (type texts, statement texts) a matrix run will ask to parse.
-
-    Computed parent-side once and shipped to each worker's initializer,
-    so pre-warming the process-global ``parse_type``/``parse_statement``
-    LRU caches costs a few tuples of strings instead of pickling the
-    corpus itself. The statement texts replicate the harness's exact
-    f-string shapes — the caches key on the literal text.
-    """
-    type_texts: list[str] = []
-    seen_types: set[str] = set()
-    statements: list[str] = [f"SELECT * FROM {TRIAL_TABLE}"]
-    for test_input in inputs:
-        if test_input.type_text not in seen_types:
-            seen_types.add(test_input.type_text)
-            type_texts.append(test_input.type_text)
-            for fmt in formats:
-                statements.append(
-                    f"CREATE TABLE {TRIAL_TABLE} "
-                    f"(c {test_input.type_text}) STORED AS {fmt}"
-                )
-        statements.append(
-            f"INSERT INTO {TRIAL_TABLE} VALUES ({test_input.sql_literal})"
-        )
-    return tuple(type_texts), tuple(statements)
-
-
-def prewarm_worker(
-    conf_overrides: dict[str, object] | None = None,
-    plans: tuple[Plan, ...] = (),
-    formats: tuple[str, ...] = (),
-    warm_inputs: tuple[TestInput, ...] = (),
-    type_texts: tuple[str, ...] = (),
-    statement_texts: tuple[str, ...] = (),
-) -> None:
-    """Process-pool initializer: pay a worker's cold start up front.
-
-    A fork-server-style pre-warm so the first *real* shard a worker
-    sees doesn't absorb every one-time cost: importing this module has
-    already pulled in both engines; this fills the process-global
-    parse caches with every type and statement text the run will
-    replay, then builds the worker-global :class:`DeploymentPool` for
-    the run's conf overrides and drives one warm-up *lane* per
-    ``(plan, fmt)`` cell through it — the same create/write/read shape
-    batched execution uses — compiling those plans into the pooled
-    deployment's plan caches.
-
-    Best-effort by construction: an initializer that raises breaks the
-    whole ``ProcessPoolExecutor``, so every step (including individual
-    parses — the corpus deliberately contains invalid SQL) swallows
-    failures. Warm-up lanes never trace and never inject, so they are
-    invisible to trace sinks, fault schedules, and fuzz coverage.
-    """
-    try:
-        from repro.common.types import parse_type
-        from repro.sql.parser import parse_statement
-
-        for text in type_texts:
-            try:
-                parse_type(text)
-            except Exception:  # noqa: BLE001 - invalid corpus types are fine
-                pass
-        for text in statement_texts:
-            try:
-                parse_statement(text)
-            except Exception:  # noqa: BLE001 - invalid corpus SQL is fine
-                pass
-        pool = worker_pool(conf_overrides)
-        counts = _new_counts()
-        lanes: dict[str, list[TestInput]] = {}
-        for test_input in warm_inputs:
-            lanes.setdefault(test_input.type_text, []).append(test_input)
-        for plan in plans:
-            for fmt in formats:
-                for lane in lanes.values():
-                    _leased(
-                        pool, counts, None,
-                        run_lane_on, plan, fmt, tuple(lane),
-                    )
-    except Exception:  # noqa: BLE001 - never take the worker down
-        pass
+# A no-op, kept only for perfbench/layers.py's _wrap_worker_roots line
+# ``executor.prewarm_worker = root("executor.prewarm", ...)``.
+def prewarm_worker(*args, **kwargs) -> None:
+    pass
 
 
 def _plan_cache_counts(deployment: Deployment) -> tuple[int, int, int, int]:
@@ -937,34 +857,29 @@ def resolve_pool(pool: str, jobs: int) -> str:
     return pool
 
 
-def _make_executor(
-    pool: str,
-    jobs: int,
-    initializer=None,
-    initargs: tuple = (),
-) -> Executor:
+def _make_executor(pool: str, jobs: int) -> Executor:
     if pool == "process":
-        return ProcessPoolExecutor(
-            max_workers=jobs, initializer=initializer, initargs=initargs
-        )
+        return ProcessPoolExecutor(max_workers=jobs)
     return ThreadPoolExecutor(max_workers=jobs)
 
 
 class WorkerPoolHandle:
     """A long-lived worker pool reused across :func:`execute` calls.
 
-    ``execute`` normally builds a pool per call and tears it down on the
-    way out — correct for one-shot matrices, ruinous for an always-on
-    campaign that submits a small batch every few hundred milliseconds:
-    process workers would pay import + parse-cache + deployment-pool
-    cold start on *every* batch. A handle owns one executor for its
-    whole lifetime; worker-global state (parse LRU caches, deployment
-    pools, compiled plans) then persists across batches, which is where
-    the campaign's steady-state throughput comes from.
+    ``execute`` normally builds a pool per call, whose workers start
+    cold, and tears it down on the way out — correct for one-shot
+    matrices, ruinous for an always-on campaign that submits a small
+    batch every few hundred milliseconds: process workers would pay
+    import + parse-cache + deployment-pool cold start on *every* batch.
+    A handle owns one executor for its whole lifetime; worker-global
+    state (parse LRU caches, deployment pools, compiled plans) then
+    persists across batches, which is where the campaign's steady-state
+    throughput comes from.
 
     Worker state can never leak into results: shard outcomes are
-    byte-identical whatever a worker ran before (the jobs/pool identity
-    grid pins this), so reusing workers is purely a wall-clock win.
+    byte-identical whatever a worker ran before, and so are their
+    traces with the plan cache off (the jobs/pool identity grid pins
+    both), so reusing workers is purely a wall-clock win.
 
     The handle is lazy (no pool until the first :meth:`executor` call)
     and idempotent to close; it also works as a context manager.
@@ -1038,15 +953,14 @@ def execute(
     position: what analyze returned}``. Per-input analysis needs unique
     input ids, so a repeated id raises ``ValueError``.
 
-    A process pool built here installs :func:`prewarm_worker` as its
-    initializer, so fresh workers start on warm parse and plan caches
-    instead of paying cold-start on their first shard.
+    A pool built here lives for this call only: its workers start cold
+    and warm their parse and plan caches on the shards they run.
 
     ``pool_handle``, if given (and ``jobs > 1``), submits shards to the
     caller's persistent :class:`WorkerPoolHandle` instead of building
     and tearing down a pool inside this call — the repeated-submission
     path the fuzz scheduler and the always-on campaign service use.
-    Its workers are not pre-warmed: they stay warm across calls.
+    Its workers stay warm across calls.
 
     A zero-trial matrix (no plans, no formats, or no inputs) returns
     immediately — no shards, no pool, no progress callbacks.
@@ -1115,32 +1029,7 @@ def execute(
             drain(pool_handle.executor())
         else:
             flavour = resolve_pool(pool, jobs)
-            initializer = None
-            initargs: tuple = ()
-            if flavour == "process":
-                type_texts, statement_texts = corpus_texts(formats, inputs)
-                # warm with a small same-type lane (the first type's
-                # first two inputs) so workers compile the exact
-                # create/scan plans lanes replay, whether the run
-                # batches or not.
-                first_type = inputs[0].type_text
-                warm = tuple(
-                    test_input
-                    for test_input in inputs
-                    if test_input.type_text == first_type
-                )[:2]
-                initializer = prewarm_worker
-                initargs = (
-                    conf_overrides,
-                    tuple(plans),
-                    tuple(formats),
-                    warm,
-                    type_texts,
-                    statement_texts,
-                )
-            with _make_executor(
-                flavour, min(jobs, len(shards)), initializer, initargs
-            ) as workers:
+            with _make_executor(flavour, min(jobs, len(shards))) as workers:
                 drain(workers)
     return trials  # type: ignore[return-value]
 

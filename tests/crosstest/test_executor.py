@@ -14,9 +14,7 @@ from repro.crosstest.executor import (
     CrossTestMetrics,
     DeploymentPool,
     build_shards,
-    corpus_texts,
     execute,
-    prewarm_worker,
     resolve_jobs,
     resolve_pool,
     run_shard,
@@ -454,69 +452,17 @@ class TestEmptyMatrix:
 
 
 class TestPrewarm:
-    def test_corpus_texts_cover_every_statement_shape(self):
-        type_texts, statements = corpus_texts(
-            ("orc", "avro"), SMALL_INPUTS[:5]
-        )
-        assert set(type_texts) == {i.type_text for i in SMALL_INPUTS[:5]}
-        assert "SELECT * FROM ct" in statements
-        for test_input in SMALL_INPUTS[:5]:
-            assert (
-                f"INSERT INTO ct VALUES ({test_input.sql_literal})"
-                in statements
-            )
-            for fmt in ("orc", "avro"):
-                assert (
-                    f"CREATE TABLE ct (c {test_input.type_text}) "
-                    f"STORED AS {fmt}" in statements
-                )
-
-    def test_prewarm_is_best_effort(self):
-        # invalid texts and a warm-up trial that cannot run must never
-        # raise — an initializer exception breaks the whole pool
-        prewarm_worker(
-            None,
-            ALL_PLANS[:1],
-            ("no-such-format",),
-            tuple(SMALL_INPUTS[:1]),
-            ("notatype((",),
-            ("CREATE GARBAGE",),
-        )
-
-    def test_prewarm_compiles_first_shard_plans(self):
-        inputs = tuple(generate_inputs()[:1])
-        type_texts, statements = corpus_texts(("orc",), inputs)
-        conf = {"repro.test.prewarm.inproc": "1"}  # a fresh pool key
-        prewarm_worker(
-            conf, tuple(ALL_PLANS[:2]), ("orc",), inputs, type_texts,
-            statements,
-        )
-        pool = worker_pool(conf)
-        deployment = pool.lease()
-        try:
-            spark = deployment.spark.plan_cache.stats
-            hive = deployment.hive.plan_cache.stats
-            warmed_misses = spark.misses + hive.misses
-            assert warmed_misses > 0  # warm-up trials compiled plans
-        finally:
-            pool.release(deployment)
-        # the "first shard" replays the same statements: all cache
-        # hits, zero new compilations
-        shard = build_shards(ALL_PLANS[:2], ("orc",), list(inputs))[0]
-        result = run_shard(shard, conf)
-        assert result.cache_counts["plan_cache_misses"] == 0
-        assert result.cache_counts["plan_cache_hits"] > 0
-        # and the pool recycles the pre-warmed deployment, not a new one
-        assert result.cache_counts["deployments_created"] == 0
-
     def test_process_pool_prewarm_preserves_results(self):
-        # a process pool that execute builds always pre-warms its
-        # workers; what they run must still match the inline run
-        sequential = execute(ALL_PLANS[:2], ("orc",), SMALL_INPUTS, jobs=1)
-        warmed = execute(
-            ALL_PLANS[:2], ("orc",), SMALL_INPUTS, jobs=2, pool="process"
+        # the pool pre-warm is gone (prewarm_worker is a no-op), so a
+        # one-shot process pool's workers start cold on every format,
+        # not only the first one the pre-warm used to warm; what they
+        # run must still match the inline run
+        formats = ("orc", "avro")
+        sequential = execute(ALL_PLANS[:2], formats, SMALL_INPUTS, jobs=1)
+        cold = execute(
+            ALL_PLANS[:2], formats, SMALL_INPUTS, jobs=2, pool="process"
         )
-        assert trial_reprs(warmed) == trial_reprs(sequential)
+        assert trial_reprs(cold) == trial_reprs(sequential)
 
 
 class TestTelemetry:

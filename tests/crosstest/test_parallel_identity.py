@@ -21,22 +21,14 @@ SETTINGS = [
 ]
 
 
-#: trace content that depends on what a worker executed before, not on
-#: the input under test — the same exclusions
-#: :mod:`repro.fuzz.coverage` documents for its feature extraction
-_SCHEDULING_EVENT_TOKENS = ("memo", "plan_cache", "replayed")
-
-
 def _span_payloads(report):
     """Traces as comparable JSON payloads, keyed by global trial index.
 
-    Wall-clock fields (``start_s``, ``duration_s``, event offsets) are
-    stripped — they legitimately differ between *runs* — and so is
-    memo/cache traffic (``memo_hit`` attributes, ``*.memo_*`` /
-    ``plan_cache.*`` events): prepare-memo warmth depends on which
-    pooled deployment a trial happened to land on. Everything else —
-    ids, structure, boundaries, statuses, errors, attributes — must be
-    identical at every jobs/pool setting.
+    Only wall-clock fields (``start_s``, ``duration_s``, event offsets)
+    are stripped: they legitimately differ between *runs*. Everything
+    else — ids, structure, boundaries, statuses, errors, attributes,
+    events — must be identical at every jobs/pool setting, whatever
+    the worker that ran a trial ran before it.
     """
 
     def strip(payload):
@@ -45,15 +37,9 @@ def _span_payloads(report):
             for key, value in payload.items()
             if key not in ("start_s", "duration_s")
         }
-        attributes = dict(payload.get("attributes", {}))
-        attributes.pop("memo_hit", None)
-        payload["attributes"] = attributes
         payload["events"] = [
             {k: v for k, v in event.items() if k != "offset_s"}
             for event in payload.get("events", [])
-            if not any(
-                token in event["name"] for token in _SCHEDULING_EVENT_TOKENS
-            )
         ]
         return payload
 
@@ -73,12 +59,19 @@ def plain_sequential(smoke):
     return run_crosstest(inputs=smoke, jobs=1).to_json()
 
 
-#: span *content* depends on plan-cache warmth (a cache hit replays the
-#: create instead of re-analyzing it), and warmth depends on worker
-#: history — so span-level identity is asserted the way fuzz campaigns
-#: run: with the plan cache pinned off. Outcome-neutral per the PR 2
+#: with the plan cache on, span *content* depends on plan-cache warmth
+#: (``plan_cache.*`` events; a cached Hive create is replayed), and
+#: warmth depends on worker history — so span-level identity is
+#: asserted the way fuzz campaigns run: with the plan cache pinned off.
+#: A fault plan never reuses a plan either. Outcome-neutral per the
 #: cache-on/off byte-identity guarantee.
 NO_CACHE = {"repro.plan.cache.enabled": "false"}
+
+#: the traced settings add a second jobs=1 run, in this process, on the
+#: deployments the reference run already warmed
+TRACED_SETTINGS = SETTINGS + [(1, "thread")]
+
+FAULTED_TRACED = dict(fault_plan=BUILTIN_PLANS["smoke"], fault_seed=1337)
 
 
 @pytest.fixture(scope="module")
@@ -86,6 +79,11 @@ def traced_sequential(smoke):
     return run_crosstest(
         inputs=smoke, conf_overrides=NO_CACHE, jobs=1, tracing=True
     )
+
+
+@pytest.fixture(scope="module")
+def faulted_traced_sequential(smoke):
+    return run_crosstest(inputs=smoke, jobs=1, tracing=True, **FAULTED_TRACED)
 
 
 @pytest.fixture(scope="module")
@@ -104,7 +102,7 @@ class TestIdentity:
         report = run_crosstest(inputs=smoke, jobs=jobs, pool=pool)
         assert report.to_json() == plain_sequential
 
-    @pytest.mark.parametrize("jobs,pool", SETTINGS)
+    @pytest.mark.parametrize("jobs,pool", TRACED_SETTINGS)
     def test_traced_report_and_spans_identical(
         self, smoke, traced_sequential, jobs, pool
     ):
@@ -130,6 +128,18 @@ class TestIdentity:
             fault_seed=7,
         )
         assert report.to_json() == faulted_sequential
+
+    @pytest.mark.parametrize("jobs,pool", TRACED_SETTINGS)
+    def test_faulted_traced_report_and_spans_identical(
+        self, smoke, faulted_traced_sequential, jobs, pool
+    ):
+        report = run_crosstest(
+            inputs=smoke, jobs=jobs, pool=pool, tracing=True, **FAULTED_TRACED
+        )
+        assert report.to_json() == faulted_traced_sequential.to_json()
+        assert _span_payloads(report) == _span_payloads(
+            faulted_traced_sequential
+        )
 
     def test_tracing_does_not_change_the_rendered_report(
         self, plain_sequential, traced_sequential
