@@ -3,7 +3,7 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 .PHONY: tier1 smoke-crosstest smoke-tests test bench bench-gate \
 	perfbench-tests chaos fuzz-smoke fuzz-baseline baseline-check lint \
-	crosstest status-smoke campaign-smoke analytics-smoke
+	crosstest status-smoke campaign-smoke analytics-smoke lanes-check
 
 # sub-second sanity tier: the distilled 14-input corpus must still
 # reproduce all 15 discrepancy mechanisms (run this before anything
@@ -76,6 +76,23 @@ bench-gate:
 # on the full 10,128-trial matrix
 perfbench-tests:
 	PYTHONPATH=src:. $(PYTHON) -m pytest -q perfbench/tests
+
+# writer groups vs isolated trials on the full corpus: the default path
+# (process pool, lanes that share one create and write per writer and
+# format, one scan per reader) must emit the same JSON report, byte for
+# byte, as one process running every trial isolated on its own lease —
+# under the stock conf and under legacy store assignment
+lanes-check:
+	@set -e; dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
+	for conf in "" "spark.sql.storeAssignmentPolicy=legacy"; do \
+		set -- $${conf:+--conf "$$conf"}; \
+		$(PYTHON) -m repro crosstest --jobs 2 --json --quiet "$$@" \
+			> "$$dir/lanes.json"; \
+		$(PYTHON) -m repro crosstest --jobs 1 --no-batch --json --quiet \
+			"$$@" > "$$dir/isolated.json"; \
+		cmp "$$dir/lanes.json" "$$dir/isolated.json"; \
+		echo "lanes-check: $${conf:-stock conf}: identical"; \
+	done
 
 # the CI chaos job's gates, locally: seeded fault matrix over the
 # distilled corpus, gated on mis-handled trials, run at jobs 2, 4 and 1

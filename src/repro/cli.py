@@ -81,9 +81,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--batch",
         action=argparse.BooleanOptionalAction,
         default=True,
-        help="let same-type trials share a deployment lane "
-        "(default: on; --no-batch runs every trial as a lane of one, "
-        "as traced or fault-injected trials always do; the report is "
+        help="let same-type trials share a deployment lane: one create "
+        "and write per writer and format, one scan per reader "
+        "(default: on; --no-batch runs every trial isolated, as traced "
+        "or fault-injected trials always do; the report is "
         "byte-identical either way)",
     )
     crosstest.add_argument(

@@ -6,11 +6,13 @@ format (:func:`build_shards`). Shards run either inline (``jobs=1``,
 the sequential semantics) or on a ``concurrent.futures`` pool (threads
 or processes, auto-sized).
 
-Every trial runs through one lane runner (:func:`_run_lane`). A *lane*
-is a shard's inputs under one ``(plan, fmt)`` cell, sharing one
-deployment lease, one ``CREATE TABLE`` and one ``SELECT *``; a *lane of
-one* is the isolated trial, and is what traced and fault-injected runs
-use, so each of their trials keeps its own tracer and fault injector.
+A shard built with shared lanes runs its cells in *writer groups*
+(:func:`_run_lane`): the cells that share a ``(plan.writer, fmt)``
+share one deployment lease, one ``CREATE TABLE`` and one write pass of
+the shard's inputs, then each plan's reader scans the table once. A
+shard built without (traced, fault-injected and ``batch=False`` runs)
+runs one isolated trial per cell — a *lane of one* — so each trial
+keeps its own tracer and fault injector.
 
 Because a shard holds every trial of its inputs, per-input work runs in
 the worker that ran the trials: given ``analyze``, :func:`run_shard`
@@ -26,10 +28,13 @@ Two invariants hold regardless of scheduling:
   plan → format → input order the sequential loop uses, so the
   returned ``Trial`` list is identical no matter how many workers ran
   or in which order they finished.
-* **Deployment isolation.** Each lane starts on a pristine deployment.
-  Deployments are *pooled*: a leased deployment is reset (trial table
-  dropped, data directory deleted) before reuse, and discarded the
-  moment a reset fails.
+* **Deployment isolation.** Each writer group and each isolated trial
+  starts on a pristine deployment. Within a group only reads follow
+  the shared write, and a read that moves the catalog sends the
+  group's remaining readers to isolated trials. Deployments are
+  *pooled*: a leased deployment is reset (trial table dropped, data
+  directory deleted) before reuse, and discarded the moment a reset
+  fails.
 
 Telemetry rides along via :class:`CrossTestMetrics` — per-stage error
 counters plus per-plan and per-format latency histograms — so a
@@ -88,8 +93,8 @@ T = TypeVar("T")
 #: Most inputs in one shard. A shard is one column type's inputs (a
 #: lane group) under all 8 plans x 3 formats, so the curated corpus's 33
 #: types, the largest holding 70 inputs, cut into 45 shards of 1 to 24
-#: inputs: one lane of up to 24 trials per cell, and each worker
-#: compiles only the plans of the types it runs.
+#: inputs: one lane of up to 24 inputs per writer group, and each
+#: worker compiles only the plans of the types it runs.
 DEFAULT_SHARD_INPUTS = 24
 
 
@@ -97,12 +102,13 @@ DEFAULT_SHARD_INPUTS = 24
 class Shard:
     """One lane group under every (plan, fmt) cell: a unit of work.
 
-    With shared lanes the inputs are up to :data:`DEFAULT_SHARD_INPUTS`
-    inputs of one column type, and each cell runs them as one lane;
-    when every lane is a lane of one (traced, fault-injected or
-    unbatched runs) the shard is a single input. Either way the shard
-    holds every trial of its inputs, in cell-major order: for each
-    cell, the inputs in run order.
+    With shared ``lanes`` the inputs are up to
+    :data:`DEFAULT_SHARD_INPUTS` inputs of one column type, and the
+    cells that share a writer and format run them as one writer group;
+    without (traced, fault-injected or unbatched runs) the shard is a
+    single input and every cell an isolated trial. Either way the
+    shard holds every trial of its inputs, in cell-major order: for
+    each cell, the inputs in run order.
     """
 
     index: int
@@ -111,6 +117,8 @@ class Shard:
     inputs: tuple[TestInput, ...]
     #: each input's position in the run's input list
     positions: tuple[int, ...]
+    #: whether cells that share a writer and format share one lane
+    lanes: bool
 
     def __len__(self) -> int:
         return len(self.cells) * len(self.inputs)
@@ -279,6 +287,7 @@ def build_shards(
             cells=cells,
             inputs=tuple(inputs[position] for position in positions),
             positions=tuple(positions),
+            lanes=lanes,
         )
         for index, positions in enumerate(groups)
     ]
@@ -492,63 +501,75 @@ def _observed_trial(
     return trial
 
 
-def _run_lane(
+def _run_trial(
     pool: DeploymentPool,
     plan: Plan,
+    fmt: str,
+    test_input: TestInput,
+    counts: dict[str, int],
+    stage_times: list[tuple[str, float]] | None,
+    tracer: Tracer | None = None,
+    injector: FaultInjector | None = None,
+) -> Outcome:
+    """One isolated trial (a lane of one) on its own lease.
+
+    Runs :func:`run_trial_on`, under the trial's ``tracer`` and
+    ``injector`` when given. Its outcome is authoritative by
+    definition, so it never needs the fallback ladder.
+    """
+    if tracer is None and injector is None:
+        trial = _leased(
+            pool, counts, stage_times,
+            run_trial_on, plan, fmt, test_input, stage_times,
+        )
+    else:
+        trial = _leased(
+            pool, counts, stage_times,
+            _observed_trial, plan, fmt, test_input,
+            counts, stage_times, tracer, injector,
+        )
+    return trial.outcome
+
+
+def _run_lane(
+    pool: DeploymentPool,
+    plans: tuple[Plan, ...],
     fmt: str,
     inputs: tuple[TestInput, ...],
     counts: dict[str, int],
     stage_times: list[tuple[str, float]] | None,
     multirow: bool = True,
-    tracer: Tracer | None = None,
-    injector: FaultInjector | None = None,
-) -> list[Outcome]:
-    """Run one lane on its own lease: how every trial here runs.
+) -> list[list[Outcome]]:
+    """Run one writer group on its own lease; outcomes per plan.
 
-    A lane of one is the isolated trial: one :func:`run_trial_on`,
-    under that trial's ``tracer`` and ``injector`` when given (only a
-    lane of one takes them). Its outcome is authoritative by
-    definition, so it never needs the fallback ladder.
-
-    A wider lane runs :func:`run_lane_on`. When that reports
-    ambiguity, its *stage* picks the fallback: a multi-row ``"write"``
-    failure retries the lane with single-row statements (exact
+    ``plans`` share one writer. :func:`run_lane_on` creates and writes
+    the table once and scans it once per reader. When it reports
+    ambiguity, the *stage* picks the fallback: a multi-row ``"write"``
+    failure retries the whole group with single-row statements (exact
     attribution, same shared table, on a fresh lease — release resets
-    whatever the failed attempt left); a ``"read"``/``"count"``
-    ambiguity means the shared scan itself is the problem — no smaller
-    shared table can attribute it, and reads fail deterministically per
-    (plan, fmt, type), so the lane fans out into lanes of one. At most
-    one retry, then isolation: termination is structural, and a fully
-    read-poisoned lane costs one extra (create + write + read) over
-    never having laned at all.
+    whatever the failed attempt left); a plan's ``"read"``,
+    ``"count"`` or ``"catalog"`` ambiguity means its shared scan cannot
+    attribute, so that plan alone fans out into isolated trials
+    (:func:`_run_trial`) while the other plans keep their scans. At
+    most one retry, then isolation: termination is structural.
     """
-    if len(inputs) == 1:
-        if tracer is None and injector is None:
-            trial = _leased(
-                pool, counts, stage_times,
-                run_trial_on, plan, fmt, inputs[0], stage_times,
-            )
-        else:
-            trial = _leased(
-                pool, counts, stage_times,
-                _observed_trial, plan, fmt, inputs[0],
-                counts, stage_times, tracer, injector,
-            )
-        return [trial.outcome]
-    outcomes = _leased(
+    results = _leased(
         pool, counts, stage_times,
-        run_lane_on, plan, fmt, inputs, multirow, stage_times,
+        run_lane_on, plans, fmt, inputs, multirow, stage_times,
     )
-    if not isinstance(outcomes, str):
-        return outcomes
-    if outcomes == "write":
+    if isinstance(results, str):
         # only a multi-row statement reports "write"; singles attribute
         return _run_lane(
-            pool, plan, fmt, inputs, counts, stage_times, multirow=False
+            pool, plans, fmt, inputs, counts, stage_times, multirow=False
         )
     return [
-        _run_lane(pool, plan, fmt, (test_input,), counts, stage_times)[0]
-        for test_input in inputs
+        outcomes
+        if not isinstance(outcomes, str)
+        else [
+            _run_trial(pool, plan, fmt, test_input, counts, stage_times)
+            for test_input in inputs
+        ]
+        for plan, outcomes in zip(plans, results)
     ]
 
 
@@ -560,18 +581,20 @@ def run_shard(
     fault_seed: int = 0,
     analyze: Analyze | None = None,
 ) -> ShardResult:
-    """Execute one shard, one lane per cell, and analyze it where it ran.
+    """Execute one shard and analyze it where it ran.
 
     Deployments come from the worker-global pool for these conf
-    overrides. Each ``(plan, fmt)`` cell runs the shard's inputs as one
-    lane (see :func:`_run_lane`): a same-type lane group shares one
-    create, batched writes and one scan, and a one-input shard is a
-    lane of one. Per-trial durations are each lane's wall-clock split
-    evenly across its trials — the plan/format histograms keep covering
-    every trial, they just report amortized cost, which is the honest
-    number under batching.
+    overrides. A shard built with shared ``lanes`` groups its cells by
+    ``(plan.writer, fmt)``, first-seen order, and runs each group as one
+    writer group (see :func:`_run_lane`): one create and one write pass
+    of the shard's inputs, then one scan per plan's reader, each plan's
+    outcomes put back at its cells. Per-trial durations are each
+    group's wall-clock split evenly across its plans × inputs — the
+    plan/format histograms keep covering every trial, they just report
+    amortized cost, which is the honest number under sharing.
 
-    With ``tracing``, each trial runs under its own
+    A shard built without runs one isolated trial per cell and input.
+    With ``tracing``, each runs under its own
     :class:`~repro.tracing.Tracer` (trace id ``plan/fmt/input_id``),
     and the finished spans ride back on ``ShardResult.spans_blob``.
     Activation happens here, inside the worker, so tracing survives
@@ -585,8 +608,8 @@ def run_shard(
 
     Traced runs promise one span tree per trial, and fault schedules
     key on per-trial boundary visit counts; a shared lane would change
-    both, so a traced or fault-injected shard must hold one input
-    (:func:`build_shards` cuts them that way).
+    both, so a traced or fault-injected shard must be built without
+    lanes (:func:`build_shards` cuts them that way).
 
     With ``analyze``, the worker then calls ``analyze(trials,
     injections)`` once per input, on that input's trials in plan →
@@ -594,41 +617,60 @@ def run_shard(
     plan ran), and the results ride home on ``ShardResult.analyses``.
     """
     injecting = fault_plan is not None and not fault_plan.empty
-    width = len(shard.inputs)
-    if (tracing or injecting) and width != 1:
+    if (tracing or injecting) and shard.lanes:
         raise ValueError(
-            f"a traced or fault-injected shard holds one input, got {width}"
+            "a traced or fault-injected shard runs isolated trials; "
+            "build it with lanes=False"
         )
+    clock = time.perf_counter
     pool = worker_pool(conf_overrides)
     counts = _new_counts(injecting)
     stage_times: list[tuple[str, float]] = []
+    width = len(shard.inputs)
     outcomes: list[Outcome] = []
     durations: list[float] = []
     traces: list[tuple[Span, ...]] | None = [] if tracing else None
     injections: list[tuple[InjectionRecord, ...]] | None = (
         [] if injecting else None
     )
-    for plan, fmt in shard.cells:
-        tracer: Tracer | None = None
-        injector: FaultInjector | None = None
-        if tracing or injecting:
-            trial_key = f"{plan.name}/{fmt}/{shard.inputs[0].input_id}"
-            if tracing:
-                tracer = Tracer(trace_id=trial_key)
-            if injecting and fault_plan is not None:
-                injector = FaultInjector(fault_plan, fault_seed, trial_key)
-        started = time.perf_counter()
-        outcomes.extend(
-            _run_lane(
-                pool, plan, fmt, shard.inputs, counts, stage_times,
-                tracer=tracer, injector=injector,
+    if shard.lanes:
+        groups: dict[tuple[str, str], list[int]] = {}
+        for cell, (plan, fmt) in enumerate(shard.cells):
+            groups.setdefault((plan.writer, fmt), []).append(cell)
+        outcomes = [None] * len(shard)  # type: ignore[list-item]
+        durations = [0.0] * len(shard)
+        for (_, fmt), cells in groups.items():
+            plans = tuple(shard.cells[cell][0] for cell in cells)
+            started = clock()
+            per_plan = _run_lane(
+                pool, plans, fmt, shard.inputs, counts, stage_times
             )
-        )
-        durations.extend([(time.perf_counter() - started) / width] * width)
-        if traces is not None and tracer is not None:
-            traces.append(tuple(tracer.finished))
-        if injections is not None and injector is not None:
-            injections.append(tuple(injector.records))
+            share = (clock() - started) / (len(cells) * width)
+            for cell, plan_outcomes in zip(cells, per_plan):
+                outcomes[cell * width : (cell + 1) * width] = plan_outcomes
+                durations[cell * width : (cell + 1) * width] = [share] * width
+    else:
+        for plan, fmt in shard.cells:
+            for test_input in shard.inputs:
+                tracer: Tracer | None = None
+                injector: FaultInjector | None = None
+                trial_key = f"{plan.name}/{fmt}/{test_input.input_id}"
+                if tracing:
+                    tracer = Tracer(trace_id=trial_key)
+                if injecting and fault_plan is not None:
+                    injector = FaultInjector(fault_plan, fault_seed, trial_key)
+                started = clock()
+                outcomes.append(
+                    _run_trial(
+                        pool, plan, fmt, test_input, counts, stage_times,
+                        tracer, injector,
+                    )
+                )
+                durations.append(clock() - started)
+                if traces is not None and tracer is not None:
+                    traces.append(tuple(tracer.finished))
+                if injections is not None and injector is not None:
+                    injections.append(tuple(injector.records))
     result = ShardResult.pack(
         shard, outcomes, durations, counts, traces, stage_times=stage_times
     )
@@ -640,7 +682,10 @@ def run_shard(
             )
         ]
         result.analyses = tuple(
-            analyze(trials[column::width], injections)
+            analyze(
+                trials[column::width],
+                None if injections is None else injections[column::width],
+            )
             for column in range(width)
         )
     return result
@@ -929,11 +974,13 @@ def execute(
 
     The matrix is cut by input (:func:`build_shards`) and every shard
     runs through :func:`run_shard`. ``batch`` (the default) lets a
-    shard's same-type inputs share one lane per cell — one create,
-    batched writes, one scan. On in-lane ambiguity a lane retries once
-    with single-row writes, then falls back to lanes of one (isolated
-    trials). Traced or fault-injected runs always use lanes of one,
-    one input per shard; reports are byte-identical either way.
+    shard's same-type inputs share one lane per writer group — one
+    create and one write pass per ``(writer, fmt)``, then one scan per
+    reader. On in-lane ambiguity a group retries once with single-row
+    writes, and a plan whose scan cannot attribute falls back to
+    isolated trials. Traced, fault-injected and ``batch=False`` runs
+    use isolated trials, one input per shard; reports are
+    byte-identical either way.
 
     ``progress``, if given, is called after every shard completes as
     ``progress(done_shards, total_shards, done_trials, total_trials)``.
@@ -1057,13 +1104,13 @@ def run_trials(
     rather than a full matrix — the fault-free baselines of one input's
     injected trials (:func:`repro.crosstest.report._analyze_input`,
     in the worker that ran them) or :meth:`CrossTester.run_trial`.
-    Each triple is a lane of one through the same lane runner as a
-    shard, on a deployment leased from the worker-global pool (warm
-    plan caches, reset on release, never thrown away).
+    Each triple is an isolated trial (:func:`_run_trial`, as in an
+    unshared shard), on a deployment leased from the worker-global pool
+    (warm plan caches, reset on release, never thrown away).
     """
     pool = worker_pool(conf_overrides)
     counts = _new_counts()
     return [
-        _run_lane(pool, plan, fmt, (test_input,), counts, None)[0]
+        _run_trial(pool, plan, fmt, test_input, counts, None)
         for plan, fmt, test_input in specs
     ]

@@ -19,6 +19,7 @@ one vocabulary.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass, field
 
@@ -115,6 +116,11 @@ class Fingerprint:
         )
 
 
+#: a struct field's ``name:`` prefix
+_FIELD_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*:")
+
+
+@functools.lru_cache(maxsize=4096)
 def type_shape(type_text: str) -> str:
     """The canonical shape of a declared type.
 
@@ -122,29 +128,25 @@ def type_shape(type_text: str) -> str:
     nesting is preserved (``array<decimal(5,0)>`` → ``array<decimal>``),
     and struct field *names* are reduced to a case marker: the names
     themselves are input detail, but whether any of them carries upper
-    case is mechanism (#14 only fires on mixed-case fields).
+    case is mechanism (#14 only fires on mixed-case fields). Memoized:
+    a run asks for the same few hundred type texts over and over.
     """
     text = _TYPE_PARAMS.sub("", type_text.replace(" ", ""))
     if not text.startswith("struct<"):
         return text
-
-    def _strip_struct(chunk: str) -> str:
-        # replace each "name:" with a case marker, at any nesting depth
-        out: list[str] = []
-        index = 0
-        while index < len(chunk):
-            match = re.match(r"([A-Za-z_][A-Za-z0-9_]*):", chunk[index:])
-            if match:
-                name = match.group(1)
-                out.append("F!" if name != name.lower() else "f")
-                out.append(":")
-                index += match.end()
-            else:
-                out.append(chunk[index])
-                index += 1
-        return "".join(out)
-
-    return _strip_struct(text)
+    # replace each "name:" with a case marker, at any nesting depth
+    out: list[str] = []
+    index = 0
+    while index < len(text):
+        match = _FIELD_NAME.match(text, index)
+        if match:
+            name = match.group()[:-1]
+            out.append("F!:" if name != name.lower() else "f:")
+            index = match.end()
+        else:
+            out.append(text[index])
+            index += 1
+    return "".join(out)
 
 
 def _value_type_shape(outcome: Outcome, test_input: TestInput) -> str:

@@ -1,12 +1,17 @@
 """The cross-system test harness of §8.1.
 
-For every (plan, format, input) triple the harness provisions a fresh
-deployment — one shared metastore + filesystem, one Spark session, one
-Hive server — creates a single-column table through the *writer*
+A trial creates a single-column table through its plan's *writer*
 interface, inserts the input, reads it back through the *reader*
-interface, and records the outcome. Oracles and classification operate
-on the recorded trials afterwards; nothing in the harness knows about
-the 15 expected discrepancies.
+interface, and records the outcome, on a :class:`Deployment` — one
+shared metastore + filesystem, one Spark session, one Hive server. The
+executor leases deployments from a pool and resets each one between
+leases, so every trial starts on a pristine deployment whose plan
+caches stay warm. :func:`run_trial_on` runs one isolated trial;
+:func:`run_lane_on` runs a lane of same-type inputs for the plans that
+share one writer: one create and one write pass, then one scan per
+reader. Oracles and classification operate on the recorded trials
+afterwards; nothing in the harness knows about the 15 expected
+discrepancies.
 """
 
 from __future__ import annotations
@@ -247,9 +252,9 @@ class CrossTester:
         either way. ``trace_sink`` (a dict) switches per-trial boundary
         tracing on; it fills with ``{trial index: finished spans}``.
         ``fault_plan``/``fault_seed`` switch deterministic fault
-        injection on. Every trial runs through the executor's one lane
-        runner: ``batch`` lets same-type trials share a lane, while
-        traced or fault-injected trials always run as lanes of one.
+        injection on. ``batch`` lets same-type trials share a lane per
+        writer group (one create and write, one scan per reader), while
+        traced or fault-injected trials always run isolated.
         ``pool_handle`` runs the shards on a caller's persistent pool.
         ``analyze`` runs in the worker once per input on that input's
         trials and fired injections (the only way injections reach the
@@ -279,7 +284,7 @@ class CrossTester:
     def run_trial(self, plan: Plan, fmt: str, test_input: TestInput) -> Trial:
         """Run one trial against this tester's pooled deployments.
 
-        The trial is a lane of one through
+        The trial is an isolated trial through
         :func:`repro.crosstest.executor.run_trials`: its deployment is
         leased from the executor's worker-global pool (and reset on
         release) instead of being built and thrown away — so ad-hoc
@@ -364,43 +369,50 @@ def run_trial_on(
 
 def run_lane_on(
     deployment: Deployment,
-    plan: Plan,
+    plans: tuple[Plan, ...],
     fmt: str,
     inputs: tuple[TestInput, ...],
     multirow: bool = True,
     stage_times: list[tuple[str, float]] | None = None,
-) -> list[Outcome] | str:
-    """Run a lane of same-type inputs through one shared table.
+) -> list[list[Outcome] | str] | str:
+    """Run a lane of same-type inputs for plans that share one writer.
 
     The batched counterpart of :func:`run_trial_on`: one ``CREATE
-    TABLE`` (every input in the lane shares a ``type_text``, so the DDL
-    is identical), all writes into the same table, one ``SELECT *``
-    scan, then rows demultiplexed back into per-input :class:`Outcome`s
-    by insertion order — the warehouse assigns part files in write
-    order and the scan reads them sorted, so the k-th surviving row is
-    the k-th successful write.
+    TABLE`` and one write pass through the shared writer (every input
+    shares a ``type_text``, and neither the DDL nor the writes depend
+    on the reader), then one ``SELECT *`` scan per plan's reader, each
+    demultiplexed back into per-input :class:`Outcome`s by insertion
+    order — the warehouse assigns part files in write order and the
+    scan reads them sorted, so the k-th surviving row is the k-th
+    successful write.
 
-    Returns the *stage name* of the ambiguity (instead of outcomes)
-    whenever per-input attribution would be a guess rather than an
-    observation, so the caller can pick the right fallback:
+    Returns ``"write"`` when a *multi-row* statement raised: which row
+    poisoned it is unknowable from here, but single-row statements
+    attribute exactly, so the caller retries the whole group with
+    ``multirow=False``. Otherwise returns one entry per plan: its
+    outcomes, or the *stage name* of an ambiguity that only the
+    isolated path can settle, for that plan alone:
 
-    - ``"write"`` — a *multi-row* statement raised; which row poisoned
-      it is unknowable from here, but single-row statements attribute
-      exactly, so the caller retries with ``multirow=False``,
-    - ``"read"`` — the shared scan raised; an isolated read might
-      succeed for some inputs and fail for others (e.g. one poison row
-      breaking the scan), and no smaller shared table can settle that —
-      only the isolated path can,
-    - ``"count"`` — the scan returned a row count that matches neither
+    - ``"read"`` — its scan raised; an isolated read might succeed for
+      some inputs and fail for others (e.g. one poison row breaking the
+      scan), and no smaller shared table can settle that,
+    - ``"count"`` — its scan returned a row count that matches neither
       zero nor the number of successful writes (some rows silently
-      dropped); which writes lost their row is likewise only
-      observable in isolation.
+      dropped); which writes lost their row is likewise only observable
+      in isolation,
+    - ``"catalog"`` — an earlier reader's scan moved the metastore's
+      ``catalog_version``, so this plan would scan a table that a read
+      changed rather than the pristine one its isolated trial sees. The
+      reader that moved it scanned a pristine table, so its own entry
+      stands.
 
     Resolvable observations are handled in-lane: a ``create`` failure
-    is deterministic across the lane (same DDL, fresh deployment) and
-    is replicated to every input; a *single-row* write failure is that
-    input's write error; an empty scan over successful writes is the
-    row-dropping behaviour the isolated path records as ``NO_ROWS``.
+    is deterministic (same DDL, pristine deployment) and reaches every
+    plan and input; a *single-row* write failure is that input's write
+    error under every plan; an empty scan over successful writes is the
+    row-dropping behaviour the isolated path records as ``NO_ROWS``. A
+    one-input lane attributes a read error and any row count directly,
+    exactly as :func:`run_trial_on` does: one row is never ambiguous.
 
     ``multirow=True`` additionally merges every corpus-``valid`` input
     in the lane into one leading multi-row statement (see
@@ -410,29 +422,31 @@ def run_lane_on(
     """
     table = TRIAL_TABLE
     clock = time.perf_counter
+    writer = plans[0].writer
     total = len(inputs)
 
     started = clock()
     try:
-        deployment.create_table(plan.writer, table, inputs[0], fmt)
+        deployment.create_table(writer, table, inputs[0], fmt)
     except Exception as exc:  # noqa: BLE001 - any failure is data
         if stage_times is not None:
             stage_times.append(("create", clock() - started))
-        return [_error("create", exc)] * total
+        failed = _error("create", exc)
+        return [[failed] * total for _ in plans]
     if stage_times is not None:
         stage_times.append(("create", clock() - started))
 
     outcomes: list[Outcome | None] = [None] * total
     ok_positions: list[int] = []
     started = clock()
-    optimistic = plan.writer != Interface.SPARKSQL
+    optimistic = writer != Interface.SPARKSQL
     for positions in _write_batches(inputs, multirow, optimistic):
         batch = tuple(inputs[position] for position in positions)
         try:
             if len(batch) == 1:
-                deployment.write(plan.writer, table, batch[0], fmt)
+                deployment.write(writer, table, batch[0], fmt)
             else:
-                deployment.write_rows(plan.writer, table, batch, fmt)
+                deployment.write_rows(writer, table, batch, fmt)
         except Exception as exc:  # noqa: BLE001
             if len(batch) > 1:
                 if stage_times is not None:
@@ -444,48 +458,60 @@ def run_lane_on(
     if stage_times is not None:
         stage_times.append(("write", clock() - started))
 
-    if ok_positions:
+    if not ok_positions:
+        return [list(outcomes) for _ in plans]  # type: ignore[misc]
+    results: list[list[Outcome] | str] = []
+    catalog = deployment.metastore.catalog_version
+    for plan in plans:
+        if deployment.metastore.catalog_version != catalog:
+            results.append("catalog")
+            continue
         started = clock()
         try:
             result = deployment.read(plan.reader, table)
-        except Exception:  # noqa: BLE001
+        except Exception as exc:  # noqa: BLE001
+            results.append([_error("read", exc)] if total == 1 else "read")
+            continue
+        finally:
             if stage_times is not None:
                 stage_times.append(("read", clock() - started))
-            return "read"
-        if stage_times is not None:
-            stage_times.append(("read", clock() - started))
-        rows = result.rows
-        if rows and len(rows) != len(ok_positions):
-            return "count"
-        if len(result.schema) > 0:
-            column = result.schema.fields[0]
-            value_type = column.data_type.simple_string()
-            name = column.name
+        if total == 1:
+            results.append([_ok(result)])
         else:
-            value_type = ""
-            name = ""
-        if not rows:
-            empty = Outcome(
-                status="ok",
-                value=NO_ROWS,
-                value_type=value_type,
-                column_name=name,
-                row_count=0,
-                warnings=result.warnings,
-            )
-            for position in ok_positions:
-                outcomes[position] = empty
-        else:
-            for row, position in zip(rows, ok_positions):
-                outcomes[position] = Outcome(
-                    status="ok",
-                    value=row[0],
-                    value_type=value_type,
-                    column_name=name,
-                    row_count=1,
-                    warnings=result.warnings,
-                )
-    return outcomes  # type: ignore[return-value]
+            results.append(_demux(result, outcomes, ok_positions))
+    return results
+
+
+def _demux(
+    result: QueryResult,
+    outcomes: list[Outcome | None],
+    ok_positions: list[int],
+) -> list[Outcome] | str:
+    """One shared scan back into per-input outcomes, or ``"count"``.
+
+    ``outcomes`` holds the write errors; the k-th row of the scan is
+    the k-th successful write, at ``ok_positions[k]``.
+    """
+    rows = result.rows
+    if rows and len(rows) != len(ok_positions):
+        return "count"
+    demuxed = list(outcomes)
+    if not rows:
+        empty = _ok(result)
+        for position in ok_positions:
+            demuxed[position] = empty
+        return demuxed  # type: ignore[return-value]
+    value_type, name = _column(result)
+    for row, position in zip(rows, ok_positions):
+        demuxed[position] = Outcome(
+            status="ok",
+            value=row[0],
+            value_type=value_type,
+            column_name=name,
+            row_count=1,
+            warnings=result.warnings,
+        )
+    return demuxed  # type: ignore[return-value]
 
 
 def _write_batches(
@@ -542,14 +568,16 @@ def _error(stage: str, exc: Exception) -> Outcome:
     )
 
 
-def _ok(result: QueryResult) -> Outcome:
+def _column(result: QueryResult) -> tuple[str, str]:
+    """The scanned column's type text and name (empty without one)."""
     if len(result.schema) > 0:
         column = result.schema.fields[0]
-        value_type = column.data_type.simple_string()
-        name = column.name
-    else:
-        value_type = ""
-        name = ""
+        return column.data_type.simple_string(), column.name
+    return "", ""
+
+
+def _ok(result: QueryResult) -> Outcome:
+    value_type, name = _column(result)
     value = result.rows[0][0] if result.rows else NO_ROWS
     return Outcome(
         status="ok",

@@ -484,10 +484,10 @@ def run_crosstest(
     result. An empty or absent plan leaves the report byte-identical
     to a plain run.
 
-    Every trial runs through the executor's one lane runner. ``batch``
-    (the default) lets same-type trials share a lane; traced or
-    fault-injected trials always run as lanes of one, and the rendered
-    report is byte-identical either way. ``pool_handle`` names a
+    ``batch`` (the default) lets same-type trials share a lane per
+    writer group — one create and write pass per ``(writer, fmt)``, one
+    scan per reader; traced or fault-injected trials always run
+    isolated, and the rendered report is byte-identical either way. ``pool_handle`` names a
     caller's persistent worker pool to run on (see
     :func:`~repro.crosstest.executor.execute`).
     """

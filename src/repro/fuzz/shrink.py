@@ -47,9 +47,10 @@ def reproduces(
 ) -> bool:
     """Does running just ``candidate`` still witness the fingerprint?
 
-    A one-input matrix: each (plan, fmt) shard holds one input, so
-    every trial runs as a lane of one — the isolated trial. Its
-    fingerprints carry the label of the conf it ran under.
+    A one-input matrix: one shard, whose writer groups write the input
+    once and scan it once per reader — a one-input lane records exactly
+    what the isolated trial does. Its fingerprints carry the label of
+    the conf it ran under.
     """
     trials = execute(plans, formats, [candidate], conf_overrides, jobs=1)
     return fingerprint_key in run_fingerprints(

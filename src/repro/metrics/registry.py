@@ -182,10 +182,14 @@ class MetricsRegistry:
     # -- registration ------------------------------------------------------
 
     def gauge(self, name: str, description: str = "") -> Gauge:
-        return self._register(Gauge(name, description=description))
+        return self._register(
+            name, lambda: Gauge(name, description=description)
+        )
 
     def counter(self, name: str, description: str = "") -> Counter:
-        return self._register(Counter(name, description=description))
+        return self._register(
+            name, lambda: Counter(name, description=description)
+        )
 
     def histogram(
         self,
@@ -194,14 +198,17 @@ class MetricsRegistry:
         description: str = "",
     ) -> Histogram:
         return self._register(
-            Histogram(name, buckets=buckets, description=description)
+            name,
+            lambda: Histogram(name, buckets=buckets, description=description),
         )
 
-    def _register(self, metric):
-        if name_exists := self._metrics.get(metric.name):
-            return name_exists
-        self._metrics[metric.name] = metric
-        self._deregistered.discard(metric.name)
+    def _register(self, name: str, build):
+        """The metric registered as ``name``; ``build()`` makes (and
+        validates) a new one only when the name is not taken yet."""
+        metric = self._metrics.get(name)
+        if metric is None:
+            metric = self._metrics[name] = build()
+            self._deregistered.discard(name)
         return metric
 
     def deregister(self, name: str) -> None:

@@ -140,6 +140,24 @@ class TestHistogram:
         with pytest.raises(MetricError):
             Histogram("h", buckets=(1.0,)).merge(Histogram("h", buckets=(2.0,)))
 
+    def test_registered_name_constructs_nothing(self, monkeypatch):
+        # a lookup of a registered name returns it without building and
+        # validating a throwaway metric first
+        built = []
+        post_init = Histogram.__post_init__
+
+        def counted(self):
+            built.append(self.name)
+            post_init(self)
+
+        monkeypatch.setattr(Histogram, "__post_init__", counted)
+        registry = MetricsRegistry(system="crosstest")
+        hist = registry.histogram("latency")
+        assert built == ["latency"]
+        assert registry.histogram("latency") is hist
+        assert registry.histogram("latency", description="again") is hist
+        assert built == ["latency"]
+
     def test_registry_registration_and_scrape(self):
         registry = MetricsRegistry(system="crosstest")
         hist = registry.histogram("latency")
